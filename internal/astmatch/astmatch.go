@@ -33,13 +33,19 @@ type Match struct {
 	Bindings Bindings
 }
 
-// Find runs the matcher over the tree and returns every match.
+// Find runs the matcher over the tree and returns every match. One
+// Bindings map serves every visited node until a match keeps it; a
+// failed attempt that bound names partway clears it first, so Find
+// allocates per match rather than per node.
 func Find(root ast.Node, m Matcher) []Match {
 	var out []Match
+	b := Bindings{}
 	ast.Inspect(root, func(n ast.Node) {
-		b := Bindings{}
 		if m(n, b) {
 			out = append(out, Match{Node: n, Bindings: b})
+			b = Bindings{}
+		} else if len(b) > 0 {
+			clear(b)
 		}
 	})
 	return out

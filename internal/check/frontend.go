@@ -6,9 +6,12 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/cpp/parser"
+	"repro/internal/buildcache"
+	"repro/internal/cpp/ast"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/sema"
+	"repro/internal/cpp/token"
+	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/vfs"
 )
@@ -32,8 +35,10 @@ type Options struct {
 	Passes []string
 	// Jobs bounds per-TU parallelism (<=0 picks GOMAXPROCS).
 	Jobs int
-	// TokenCache, when set, memoizes per-file lexing (wall-clock only).
-	TokenCache preprocessor.TokenCache
+	// Cache, when set, serves each source's translation unit from the
+	// build cache the compiler and the substitution tool share
+	// (wall-clock only).
+	Cache *buildcache.Cache
 	// Obs records per-pass histograms/counters and frontend spans.
 	Obs *obs.Obs
 }
@@ -79,7 +84,8 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// buildTUs runs the frontend for every source on the bounded pool.
+// buildTUs runs the frontend for every source on the bounded pool,
+// each worker recording into its own trace lane.
 func buildTUs(opts Options, o *obs.Obs) ([]*TU, error) {
 	sources := map[string]bool{}
 	for _, s := range opts.Sources {
@@ -99,50 +105,42 @@ func buildTUs(opts Options, o *obs.Obs) ([]*TU, error) {
 		go func(i int, src string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			tus[i], errs[i] = frontendTU(opts, o, src, sources)
+			wo := o.Lane("check frontend " + src)
+			defer wo.SealLane()
+			tus[i], errs[i] = frontendTU(opts, wo, src, sources)
 		}(i, src)
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("check: %s: %v", opts.Sources[i], err)
+			return nil, fmt.Errorf("check: %v", err)
 		}
 	}
 	return tus, nil
 }
 
-// frontendTU preprocesses (with macro tracking), parses, and analyzes
-// one source into a self-contained TU.
+// frontendTU runs the shared frontend over one source and analyzes it
+// into a self-contained TU whose AST is the source set's user view.
 func frontendTU(opts Options, o *obs.Obs, src string, sources map[string]bool) (*TU, error) {
-	pp := preprocessor.New(opts.FS, opts.SearchPaths...)
-	pp.Obs = o
-	pp.Cache = opts.TokenCache
-	pp.TrackMacros = true
-	for k, v := range opts.Defines {
-		pp.Define(k, v)
-	}
-	res, err := pp.Preprocess(src)
+	cfg := frontend.Config{FS: opts.FS, SearchPaths: opts.SearchPaths, Defines: opts.Defines, Cache: opts.Cache}
+	unit, err := frontend.Parse(cfg, src, o)
 	if err != nil {
-		return nil, fmt.Errorf("preprocess: %v", err)
+		return nil, err
 	}
+	res := unit.Result
 	owned := map[string]bool{}
 	for _, target := range append([]string{opts.Header}, opts.ExtraHeaders...) {
-		if hf := findHeaderFile(res, target); hf != "" {
-			markOwned(owned, res.DirectDeps, hf)
+		if hf := FindHeaderFile(res, target); hf != "" {
+			MarkOwned(owned, res.DirectDeps, hf)
 		}
 	}
-	p := parser.New(res.Tokens)
-	p.Obs = o
-	tu, err := p.Parse()
-	if err != nil {
-		return nil, fmt.Errorf("parse: %v", err)
-	}
+	tu := unit.Unit()
 	tables := sema.NewTable()
 	tables.Obs = o
 	tables.AddUnit(tu)
 	return &TU{
 		Source:      vfs.Clean(src),
-		AST:         tu,
+		AST:         UserView(tu, sources),
 		Tables:      tables,
 		HeaderOwned: owned,
 		Sources:     sources,
@@ -152,9 +150,37 @@ func frontendTU(opts Options, o *obs.Obs, src string, sources map[string]bool) (
 	}, nil
 }
 
-// findHeaderFile locates the resolved path of an include target among a
-// TU's includes (same matching rule as the substitution engine).
-func findHeaderFile(res *preprocessor.Result, target string) string {
+// UserView returns the top-level declarations of tu that contain at
+// least one node positioned in one of the sources, in their original
+// order and sharing tu's nodes. Every pass, and every walk of the
+// substitution engine's analysis, discards nodes whose own position
+// lies outside the sources, so walking the view gives exactly the
+// results of walking tu while skipping the library code around the
+// user's declarations. The view depends on the source set, so it is
+// built per run and never stored with a cached tree.
+func UserView(tu *ast.TranslationUnit, sources map[string]bool) *ast.TranslationUnit {
+	ids := make(map[token.FileID]bool, len(sources))
+	for s := range sources {
+		ids[token.InternFile(s)] = true
+	}
+	view := &ast.TranslationUnit{}
+	for _, d := range tu.Decls {
+		found := false
+		ast.Walk(d, func(n ast.Node) bool {
+			found = found || ids[n.Pos().File]
+			return !found
+		})
+		if found {
+			view.Decls = append(view.Decls, d)
+		}
+	}
+	return view
+}
+
+// FindHeaderFile locates the resolved path of an include target (as
+// spelled in the #include directive) among a TU's includes, or "". The
+// substitution engine resolves its headers with it too.
+func FindHeaderFile(res *preprocessor.Result, target string) string {
 	suffix := "/" + path.Base(target)
 	for _, inc := range res.Includes {
 		if inc == vfs.Clean(target) || strings.HasSuffix("/"+inc, suffix) {
@@ -164,13 +190,14 @@ func findHeaderFile(res *preprocessor.Result, target string) string {
 	return ""
 }
 
-// markOwned adds hf and everything reachable from it to owned.
-func markOwned(owned map[string]bool, deps map[string][]string, hf string) {
+// MarkOwned adds hf and everything reachable from it through deps (a
+// preprocessor result's DirectDeps) to owned.
+func MarkOwned(owned map[string]bool, deps map[string][]string, hf string) {
 	if owned[hf] {
 		return
 	}
 	owned[hf] = true
 	for _, d := range deps[hf] {
-		markOwned(owned, deps, d)
+		MarkOwned(owned, deps, d)
 	}
 }

@@ -149,7 +149,9 @@ func (r *Result) Errors() []Diagnostic {
 // CheckTUs runs the selected passes (nil = all) over every TU on a
 // bounded worker pool of the given size (<=0 picks GOMAXPROCS). The
 // returned diagnostics are sorted and deduplicated, so the result is
-// byte-identical regardless of pool size or scheduling. Per-pass wall
+// byte-identical regardless of pool size or scheduling. Each TU's
+// "check.tu" span is recorded on a trace lane of its own, sealed when
+// the TU is done (a lane belongs to one goroutine). Per-pass wall
 // durations land in the `check.pass_ms.<id>` histograms and finding
 // counts in the `check.findings.<id>` counters of o's registry.
 func CheckTUs(tus []*TU, passIDs []string, jobs int, o *obs.Obs) (*Result, error) {
@@ -169,7 +171,9 @@ func CheckTUs(tus []*TU, passIDs []string, jobs int, o *obs.Obs) (*Result, error
 		go func(i int, tu *TU) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sp := o.Start("check.tu")
+			wo := o.Lane("check " + tu.Source)
+			defer wo.SealLane()
+			sp := wo.Start("check.tu")
 			sp.SetStr("source", tu.Source)
 			defer sp.End()
 			tu.Flow = BuildFlow(tu)

@@ -21,15 +21,11 @@ package compilesim
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/buildcache"
-	"repro/internal/cpp/ast"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/token"
+	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/pch"
 	"repro/internal/vfs"
@@ -110,30 +106,21 @@ func (p Phases) Frontend() time.Duration {
 // Total is startup plus frontend plus backend.
 func (p Phases) Total() time.Duration { return p.Startup + p.Frontend() + p.Backend }
 
-// Stats are the measured (not modeled) facts about the translation unit.
+// Stats are the measured facts about the translation unit, plus how
+// much of it a PCH leaves to compile.
 type Stats struct {
-	LOC          int // non-blank lines compiled (Table 3 "LOCs")
-	Headers      int // files included directly+transitively (Table 3)
-	Tokens       int // total tokens in the translation unit
+	frontend.Stats
 	UserTokens   int // tokens not covered by the PCH
-	Decls        int
-	FuncDefs     int // function bodies in the unit
-	MainFuncDefs int // function bodies defined in the main file itself
-	BodyTokens   int // tokens inside those bodies (approximated via AST)
-	TemplateUses int // template usages requiring instantiation
-	MissingIncl  int
 	PCHBlobBytes int
 }
 
-// Object is the result of compiling one translation unit. TU is nil
-// when the frontend result was adopted from the remote cache tier (the
-// wire format carries tokens and statistics, not trees); everything
-// downstream of Compile consumes Phases and Stats only.
+// Object is the result of compiling one translation unit. Everything
+// downstream of Compile consumes Phases and Stats only, so a compile
+// never needs the unit's tree.
 type Object struct {
 	Name   string
 	Phases Phases
 	Stats  Stats
-	TU     *ast.TranslationUnit
 	// Includes lists every file the frontend read (main file included)
 	// and AbsentDeps every include probe that missed — the compile's
 	// dependency manifest, re-exposed from the build cache's view so
@@ -181,26 +168,13 @@ func (c *Compiler) Compile(main string) (*Object, error) {
 	sp.SetStr("file", main)
 	defer sp.End()
 
-	unit, err := c.frontend(main, sp.Obs())
+	cfg := frontend.Config{FS: c.FS, SearchPaths: c.SearchPaths, Defines: c.Defines, Cache: c.Cache}
+	unit, err := frontend.Parse(cfg, main, sp.Obs())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("compilesim: %v", err)
 	}
 	res := unit.Result
-	if st, ok := unit.Aux.(Stats); ok {
-		obj.Stats = st
-	} else {
-		// The entry was built by a non-compilesim frontend run (e.g. a
-		// PCH build sharing the same configuration key) or arrived from a
-		// node without the Stats codec: derive the unit statistics from
-		// the cached stream and AST (Unit re-parses if the entry was
-		// adopted from the remote tier). Deterministic either way.
-		obj.Stats.LOC = res.LOC
-		obj.Stats.Headers = len(res.Includes)
-		obj.Stats.MissingIncl = len(res.MissingIncludes)
-		obj.Stats.Tokens = len(res.Tokens)
-		countUnit(unit.Unit(), vfs.Clean(main), &obj.Stats)
-	}
-	obj.TU = unit.AST
+	obj.Stats.Stats = frontend.StatsOf(unit, main)
 	obj.Includes = append([]string{vfs.Clean(main)}, res.Includes...)
 	obj.AbsentDeps = res.AbsentDeps
 
@@ -261,68 +235,6 @@ func (c *Compiler) Compile(main string) (*Object, error) {
 	return obj, nil
 }
 
-// frontend preprocesses and parses main and derives the translation
-// unit's statistics — everything about a compile that depends only on
-// source text, include configuration, and defines (not on the cost
-// model, -O level, or PCH). With a Cache set, the result is served from
-// the content-addressed TU cache when the recorded dependency manifest
-// (every file read, by hash, and every include probe that missed)
-// still validates against the compiler's filesystem.
-func (c *Compiler) frontend(main string, o *obs.Obs) (*buildcache.TU, error) {
-	build := func() (*buildcache.TU, []buildcache.Dep, error) {
-		ppr := preprocessor.New(c.FS, c.SearchPaths...)
-		ppr.Obs = o
-		if c.Cache != nil {
-			ppr.Cache = c.Cache
-		}
-		for k, v := range c.Defines {
-			ppr.Define(k, v)
-		}
-		res, err := ppr.Preprocess(main)
-		if err != nil {
-			return nil, nil, fmt.Errorf("compilesim: %s: %v", main, err)
-		}
-		pr := parser.New(res.Tokens)
-		pr.Obs = o
-		tu, err := pr.Parse()
-		if err != nil {
-			return nil, nil, fmt.Errorf("compilesim: %s: parse: %v", main, err)
-		}
-		var st Stats
-		st.LOC = res.LOC
-		st.Headers = len(res.Includes)
-		st.MissingIncl = len(res.MissingIncludes)
-		st.Tokens = len(res.Tokens)
-		countUnit(tu, vfs.Clean(main), &st)
-		return &buildcache.TU{Result: res, AST: tu, Aux: st}, buildcache.Manifest(c.FS, main, res), nil
-	}
-	if c.Cache == nil {
-		t, _, err := build()
-		return t, err
-	}
-	t, hit, err := c.Cache.TranslationUnit(c.configKey(main), buildcache.Validator(c.FS), build)
-	if hit {
-		// The preprocess/parse spans above never opened; mark the hit so
-		// the timeline still shows where this TU's frontend came from.
-		hsp := o.Start("frontend cache hit")
-		hsp.SetStr("file", main)
-		hsp.End()
-	}
-	return t, err
-}
-
-// configKey identifies the compilation configuration the frontend result
-// depends on: main file, search-path order, and predefined macros.
-func (c *Compiler) configKey(main string) string {
-	parts := []string{"compilesim", vfs.Clean(main), strings.Join(c.SearchPaths, "\x1f")}
-	defs := make([]string, 0, len(c.Defines))
-	for k, v := range c.Defines {
-		defs = append(defs, k+"="+v)
-	}
-	sort.Strings(defs)
-	return buildcache.ConfigKey(append(parts, defs...)...)
-}
-
 // semaShare discounts semantic analysis when declarations arrive
 // pre-checked from a PCH.
 func semaShare(usingPCH bool) float64 {
@@ -371,69 +283,3 @@ func (c *Compiler) LinkLTO(objects ...*Object) time.Duration {
 	}
 	return dur(LTONsPerUnit * float64(units))
 }
-
-// countUnit fills declaration/template statistics from the parsed unit.
-func countUnit(tu *ast.TranslationUnit, mainFile string, st *Stats) {
-	mainID := token.InternFile(mainFile)
-	ast.Inspect(tu, func(n ast.Node) {
-		switch x := n.(type) {
-		case *ast.ClassDecl, *ast.AliasDecl, *ast.EnumDecl, *ast.VarDecl, *ast.FieldDecl, *ast.UsingDecl:
-			st.Decls++
-		case *ast.FunctionDecl:
-			st.Decls++
-			if x.Body != nil {
-				st.FuncDefs++
-				st.BodyTokens += bodyTokenEstimate(x.Body)
-				if x.Pos().File == mainID {
-					st.MainFuncDefs++
-				}
-			}
-		case *ast.ExplicitInstantiation:
-			st.Decls++
-			st.TemplateUses++
-		case *ast.DeclRefExpr:
-			if hasTemplateArgs(x.Name) {
-				st.TemplateUses++
-			}
-		case *ast.LambdaExpr:
-			st.TemplateUses++ // unique closure type instantiation
-		}
-		if t, ok := typeOfNode(n); ok && t != nil && hasTemplateArgs(t.Name) {
-			st.TemplateUses++
-		}
-		return
-	})
-}
-
-// typeOfNode extracts the declared type for declarator nodes.
-func typeOfNode(n ast.Node) (*ast.Type, bool) {
-	switch x := n.(type) {
-	case *ast.FieldDecl:
-		return x.Type, true
-	case *ast.VarDecl:
-		return x.Type, true
-	case *ast.AliasDecl:
-		return x.Target, true
-	}
-	return nil, false
-}
-
-func hasTemplateArgs(q ast.QualifiedName) bool {
-	for _, s := range q.Segments {
-		if len(s.Args) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// bodyTokenEstimate approximates the token count of a function body from
-// its AST node count (the parser does not retain raw body tokens).
-func bodyTokenEstimate(body *ast.CompoundStmt) int {
-	n := 0
-	ast.Inspect(body, func(ast.Node) { n++ })
-	return n * 4
-}
-
-// Token re-exported check helper (kept for tests).
-var _ = token.EOF

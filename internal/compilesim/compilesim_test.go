@@ -63,7 +63,7 @@ func TestPCHReducesFrontendNotBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := pch.Build(fs, "lib/big.hpp", []string{"lib"}, nil)
+	p, err := pch.Build(fs, "lib/big.hpp", []string{"lib"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

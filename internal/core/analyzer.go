@@ -143,6 +143,10 @@ type envVar struct {
 
 // analysis is the collected result of the analyzer phase.
 type analysis struct {
+	// units holds each source's user view: the top-level declarations
+	// that contain a node positioned in a source (check.UserView). Every
+	// walk below discards nodes positioned elsewhere, so the view gives
+	// them exactly the full unit's results.
 	units map[string]*ast.TranslationUnit
 
 	classes  map[string]*ClassUse // by qualified name
@@ -978,9 +982,11 @@ func (e *Engine) qualifySubst(ty *ast.Type, scope *sema.Symbol, subst map[string
 		(r.Symbol.Kind == sema.ClassSym || r.Symbol.Kind == sema.EnumSym) {
 		name = sema.ParseQualified(r.Symbol.Qualified())
 	}
-	// Rebuild the last segment's template args with substitution applied.
+	// Rebuild the last segment's template args with substitution applied,
+	// on a copy of the segments: ty may belong to a shared, cached tree.
 	lastOrig := ty.Name.Last()
 	if len(lastOrig.Args) > 0 {
+		name.Segments = append([]ast.NameSegment(nil), name.Segments...)
 		var args []ast.TemplateArg
 		for _, a := range lastOrig.Args {
 			if a.Type != nil {

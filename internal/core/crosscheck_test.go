@@ -5,9 +5,20 @@ import (
 
 	"repro/internal/astmatch"
 	"repro/internal/cpp/ast"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
+	"repro/internal/frontend"
+	"repro/internal/vfs"
 )
+
+// parseKernel parses the pykokkos kernel TU through the frontend the
+// engine uses.
+func parseKernel(t *testing.T, fs *vfs.FS) *ast.TranslationUnit {
+	t.Helper()
+	unit, err := frontend.Parse(frontend.Config{FS: fs, SearchPaths: []string{"kokkos", "src"}}, "src/kernel.cpp", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return unit.AST
+}
 
 // TestAnalyzerAgreesWithASTMatchers independently re-derives key analysis
 // facts with the astmatch combinator library (the clang-ASTMatchers
@@ -28,15 +39,7 @@ func TestAnalyzerAgreesWithASTMatchers(t *testing.T) {
 	}
 
 	// Re-parse the kernel TU the way the engine's frontend does.
-	pp := preprocessor.New(fs, "kokkos", "src")
-	ppRes, err := pp.Preprocess("src/kernel.cpp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tu, err := parser.New(ppRes.Tokens).Parse()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tu := parseKernel(t, fs)
 
 	// Matcher query 1: lambdas inside the user's source files.
 	lambdas := astmatch.Find(tu, astmatch.LambdaExpr(astmatch.IsExpansionInFile("src/kernel.cpp")))
@@ -97,15 +100,7 @@ func TestMatchersFindUsageNature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := preprocessor.New(fs, "kokkos", "src")
-	ppRes, err := pp.Preprocess("src/kernel.cpp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tu, err := parser.New(ppRes.Tokens).Parse()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tu := parseKernel(t, fs)
 	byValueViewFields := astmatch.Find(tu, astmatch.FieldDecl(
 		astmatch.IsExpansionInFile("src/functor.hpp"),
 		astmatch.HasType(func(ty *ast.Type) bool {

@@ -14,13 +14,14 @@ package core
 
 import (
 	"fmt"
-	"path"
 	"sort"
 	"strings"
 
-	"repro/internal/cpp/parser"
+	"repro/internal/buildcache"
+	"repro/internal/check"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/sema"
+	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/rewrite"
 	"repro/internal/vfs"
@@ -68,9 +69,10 @@ type Options struct {
 	// Setting SkipCheck restores the unchecked behavior of earlier
 	// versions.
 	SkipCheck bool
-	// TokenCache, when set, memoizes per-file lexing across the tool's
-	// preprocessor runs (wall-clock only; output unchanged).
-	TokenCache preprocessor.TokenCache
+	// Cache, when set, serves each source's translation unit from the
+	// build cache the compiler shares (wall-clock only; output
+	// unchanged).
+	Cache *buildcache.Cache
 	// Obs, when set, records one "substitute" span with per-phase child
 	// spans (frontend, analyze, forward-decls, wrappers, transform, emit)
 	// and substitution counters. Nil disables recording at zero cost.
@@ -128,7 +130,7 @@ type Engine struct {
 	headerOwned map[string]bool
 	sourceSet   map[string]bool
 	// ppRes keeps each source's preprocessor result (macro definitions
-	// and expansion records) for the safety gate; nil when SkipCheck.
+	// and expansion records) for the safety gate.
 	ppRes map[string]*preprocessor.Result
 
 	an  *analysis
@@ -142,6 +144,11 @@ type Engine struct {
 	// edits per original file; lambda-internal edits are partitioned out
 	// during emission.
 	rewrites *rewrite.Set
+
+	// fullUnits makes the analysis and the gate walk whole translation
+	// units instead of their user views; tests set it to prove the
+	// views exact.
+	fullUnits bool
 }
 
 // Substitute runs Header Substitution; see the package comment.
@@ -256,8 +263,10 @@ func (e *Engine) run() (*Result, error) {
 	return res, nil
 }
 
-// frontend preprocesses each source, parses the translation units, builds
-// the symbol table, and computes the header-owned file set.
+// frontend preprocesses and parses each source through the shared
+// frontend, builds the symbol table over the full translation units,
+// computes the header-owned file set, and keeps each unit's user view
+// (see check.UserView) for the analysis walks.
 func (e *Engine) frontend(o *obs.Obs) error {
 	for _, s := range e.opts.Sources {
 		e.sourceSet[vfs.Clean(s)] = true
@@ -266,21 +275,14 @@ func (e *Engine) frontend(o *obs.Obs) error {
 	e.tables.Obs = o
 	e.an = newAnalysis()
 
+	cfg := frontend.Config{FS: e.fs, SearchPaths: e.opts.SearchPaths, Defines: e.opts.Defines, Cache: e.opts.Cache}
 	for _, src := range e.opts.Sources {
-		pp := preprocessor.New(e.fs, e.opts.SearchPaths...)
-		pp.Obs = o
-		pp.Cache = e.opts.TokenCache
-		pp.TrackMacros = !e.opts.SkipCheck
-		for k, v := range e.opts.Defines {
-			pp.Define(k, v)
-		}
-		res, err := pp.Preprocess(src)
+		unit, err := frontend.Parse(cfg, src, o)
 		if err != nil {
-			return fmt.Errorf("core: preprocess %s: %v", src, err)
+			return fmt.Errorf("core: %v", err)
 		}
-		if pp.TrackMacros {
-			e.ppRes[vfs.Clean(src)] = res
-		}
+		res := unit.Result
+		e.ppRes[vfs.Clean(src)] = res
 		e.includes[vfs.Clean(src)] = true
 		for _, inc := range res.Includes {
 			e.includes[inc] = true
@@ -291,23 +293,21 @@ func (e *Engine) frontend(o *obs.Obs) error {
 		// Resolve every substituted header among this TU's includes and
 		// mark their transitive closures as header-owned.
 		for _, target := range e.headerTargets() {
-			if hf := e.findHeaderFile(res, target); hf != "" {
+			if hf := check.FindHeaderFile(res, target); hf != "" {
 				if e.headerFile == "" {
 					e.headerFile = hf
 				}
 				if !e.headerOwned[hf] {
 					e.headerFiles = append(e.headerFiles, hf)
 				}
-				e.markOwned(res.DirectDeps, hf)
+				check.MarkOwned(e.headerOwned, res.DirectDeps, hf)
 			}
 		}
-		p := parser.New(res.Tokens)
-		p.Obs = o
-		tu, err := p.Parse()
-		if err != nil {
-			return fmt.Errorf("core: parse %s: %v", src, err)
-		}
+		tu := unit.Unit()
 		e.tables.AddUnit(tu)
+		if !e.fullUnits {
+			tu = check.UserView(tu, e.sourceSet)
+		}
 		e.an.units[vfs.Clean(src)] = tu
 	}
 	if e.headerFile == "" {
@@ -329,29 +329,6 @@ func sortedKeys(m map[string]bool) []string {
 // headerTargets lists every include target being substituted.
 func (e *Engine) headerTargets() []string {
 	return append([]string{e.opts.Header}, e.opts.ExtraHeaders...)
-}
-
-// findHeaderFile locates the resolved path of an include target among the
-// TU's includes.
-func (e *Engine) findHeaderFile(res *preprocessor.Result, target string) string {
-	suffix := "/" + path.Base(target)
-	for _, inc := range res.Includes {
-		if inc == vfs.Clean(target) || strings.HasSuffix("/"+inc, suffix) {
-			return inc
-		}
-	}
-	return ""
-}
-
-// markOwned adds hf and everything reachable from it to headerOwned.
-func (e *Engine) markOwned(deps map[string][]string, hf string) {
-	if e.headerOwned[hf] {
-		return
-	}
-	e.headerOwned[hf] = true
-	for _, d := range deps[hf] {
-		e.markOwned(deps, d)
-	}
 }
 
 // inHeader reports whether a file is owned by the substituted header.

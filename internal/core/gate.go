@@ -28,25 +28,23 @@ func (e *GateError) Error() string {
 }
 
 // gate runs the safety passes over the already-built frontend artifacts
-// (no second preprocess/parse) and refuses the substitution on any
-// error-severity finding.
+// (no second preprocess/parse; the passes walk the same user views as
+// the analysis) and refuses the substitution on any error-severity
+// finding.
 func (e *Engine) gate(o *obs.Obs) error {
 	tus := make([]*check.TU, 0, len(e.opts.Sources))
 	for _, src := range e.opts.Sources {
 		cs := vfs.Clean(src)
-		tu := &check.TU{
+		tus = append(tus, &check.TU{
 			Source:      cs,
 			AST:         e.an.units[cs],
 			Tables:      e.tables,
 			HeaderOwned: e.headerOwned,
 			Sources:     e.sourceSet,
+			MacroDefs:   e.ppRes[cs].MacroDefs,
+			MacroUses:   e.ppRes[cs].MacroUses,
 			FS:          e.fs,
-		}
-		if r := e.ppRes[cs]; r != nil {
-			tu.MacroDefs = r.MacroDefs
-			tu.MacroUses = r.MacroUses
-		}
-		tus = append(tus, tu)
+		})
 	}
 	res, err := check.CheckTUs(tus, nil, 0, o)
 	if err != nil {

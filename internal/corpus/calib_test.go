@@ -40,7 +40,7 @@ func TestCalibrationBands(t *testing.T) {
 			t.Fatalf("%s default: %v", c.name, err)
 		}
 		hdr := resolveHeaderPath(t, fs, s)
-		p, err := pch.Build(fs, hdr, s.SearchPaths, nil)
+		p, err := pch.Build(fs, hdr, s.SearchPaths, nil, nil, nil)
 		if err != nil {
 			t.Fatalf("%s pch: %v", c.name, err)
 		}

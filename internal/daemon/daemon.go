@@ -68,8 +68,9 @@ type Config struct {
 	MaxCachedTUs int
 	// Tracer, when set, records per-request lanes exported at /trace.
 	Tracer *obs.Tracer
-	// TraceRetention caps how many completed request lanes the tracer
-	// keeps (drop-oldest); <= 0 means 1024.
+	// TraceRetention caps how many completed lanes the tracer keeps
+	// (drop-oldest): request lanes and the per-TU lanes of the safety
+	// checks they run; <= 0 means 1024.
 	TraceRetention int
 	// Registry, when set, collects the daemon's RED metrics and the
 	// whole pipeline's counters, served at /metrics.

@@ -344,7 +344,7 @@ func substitutionIdentical(c *Client, sessName, subjectName, mode string) (bool,
 		Sources:     subj.Sources,
 		Header:      subj.Header,
 		OutDir:      subj.OutDir(),
-		TokenCache:  buildcache.New(),
+		Cache:       buildcache.New(),
 	}
 	want, err := core.Substitute(opts)
 	if err != nil {

@@ -380,10 +380,8 @@ func (s *Session) substituteLocked(o *obs.Obs) (*SubstituteResult, error) {
 		Sources:     s.subject.Sources,
 		Header:      s.subject.Header,
 		OutDir:      s.subject.OutDir(),
+		Cache:       s.cache,
 		Obs:         o,
-	}
-	if s.cache != nil {
-		opts.TokenCache = s.cache
 	}
 	res, err := core.Substitute(opts)
 	if err != nil {
@@ -426,10 +424,8 @@ func (s *Session) Check(ctx context.Context, o *obs.Obs, passes []string) (*chec
 		Sources:     s.subject.Sources,
 		Header:      s.subject.Header,
 		Passes:      passes,
+		Cache:       s.cache,
 		Obs:         o,
-	}
-	if s.cache != nil {
-		opts.TokenCache = s.cache
 	}
 	return check.Run(opts)
 }

@@ -198,7 +198,7 @@ func PrepareWith(s *corpus.Subject, mode Mode, cfg Config) (*Setup, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := pch.BuildObserved(fs, headerPath, s.SearchPaths, nil, cfg.Cache, o)
+		p, err := pch.Build(fs, headerPath, s.SearchPaths, nil, cfg.Cache, o)
 		if err != nil {
 			return nil, err
 		}
@@ -218,10 +218,8 @@ func PrepareWith(s *corpus.Subject, mode Mode, cfg Config) (*Setup, error) {
 			FS: fs, SearchPaths: s.SearchPaths, Sources: s.Sources,
 			Header: s.Header, OutDir: s.OutDir(),
 			PreDeclare: cfg.PreDeclare,
+			Cache:      cfg.Cache,
 			Obs:        o,
-		}
-		if cfg.Cache != nil {
-			opts.TokenCache = cfg.Cache
 		}
 		res, err := core.Substitute(opts)
 		if err != nil {
@@ -252,7 +250,7 @@ func PrepareWith(s *corpus.Subject, mode Mode, cfg Config) (*Setup, error) {
 			// §6 combination: pre-compile the residual headers the
 			// substituted sources still include (std and non-substituted
 			// modules).
-			p, err := pch.BuildObserved(fs, st.mainFile, paths, nil, cfg.Cache, o)
+			p, err := pch.Build(fs, st.mainFile, paths, nil, cfg.Cache, o)
 			if err != nil {
 				return nil, fmt.Errorf("devcycle: residual pch: %v", err)
 			}

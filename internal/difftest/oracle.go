@@ -251,9 +251,7 @@ func substitute(fs *vfs.FS, s *corpus.Subject, cache *buildcache.Cache, outDir s
 		// gate must not pre-empt the downstream oracles (and fault
 		// injection plants bugs the gate would never see anyway).
 		SkipCheck: true,
-	}
-	if cache != nil {
-		opts.TokenCache = cache
+		Cache:     cache,
 	}
 	return core.Substitute(opts)
 }

@@ -568,7 +568,7 @@ func compileTriple(s *corpus.Subject, model compilesim.CostModel, bc *buildcache
 			break
 		}
 	}
-	p, err := pch.BuildWithCache(fs, hdr, s.SearchPaths, nil, bc)
+	p, err := pch.Build(fs, hdr, s.SearchPaths, nil, bc, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -578,10 +578,7 @@ func compileTriple(s *corpus.Subject, model compilesim.CostModel, bc *buildcache
 	cp.PCH = p
 	subOpts := core.Options{
 		FS: fs, SearchPaths: s.SearchPaths, Sources: s.Sources,
-		Header: s.Header, OutDir: s.OutDir(),
-	}
-	if bc != nil {
-		subOpts.TokenCache = bc
+		Header: s.Header, OutDir: s.OutDir(), Cache: bc,
 	}
 	pchObj, err := cp.Compile(s.MainFile)
 	if err != nil {

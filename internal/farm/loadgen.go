@@ -486,7 +486,7 @@ func oneShotFiles(subjectName string) (map[string]string, []string, error) {
 		Sources:     subj.Sources,
 		Header:      subj.Header,
 		OutDir:      subj.OutDir(),
-		TokenCache:  buildcache.New(),
+		Cache:       buildcache.New(),
 	})
 	if err != nil {
 		return nil, nil, err

@@ -1,4 +1,4 @@
-package compilesim
+package frontend
 
 import (
 	"encoding/binary"
@@ -9,22 +9,22 @@ import (
 
 // The remote (L2) cache tier serializes TU.Aux through registered
 // codecs. Registering Stats here is what makes remote adoption cheap:
-// an adopted entry arrives with its unit statistics intact, so Compile
-// takes the Aux fast path instead of re-parsing the token stream to
-// re-count declarations — and since nothing else on the hot path needs
-// the AST, the whole re-parse disappears from the L2 fetch.
+// an adopted entry arrives with its unit statistics intact, so a
+// compile takes the Aux fast path instead of re-parsing the token
+// stream to re-count declarations — and since nothing else on the hot
+// path needs the AST, the whole re-parse disappears from the L2 fetch.
 //
 // The wire order is fixed by statsAuxFields; any field addition or
 // reorder must bump the codec name so old nodes fall back to a nil Aux
 // (and the re-derive path) instead of mis-decoding.
-const statsAuxName = "compilesim.stats/1"
+const statsAuxName = "frontend.stats/1"
 
 // statsAuxFields lists every Stats field in wire order.
 func statsAuxFields(st *Stats) []*int {
 	return []*int{
-		&st.LOC, &st.Headers, &st.Tokens, &st.UserTokens,
+		&st.LOC, &st.Headers, &st.Tokens,
 		&st.Decls, &st.FuncDefs, &st.MainFuncDefs, &st.BodyTokens,
-		&st.TemplateUses, &st.MissingIncl, &st.PCHBlobBytes,
+		&st.TemplateUses, &st.MissingIncl,
 	}
 }
 

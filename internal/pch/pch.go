@@ -11,14 +11,10 @@ package pch
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/buildcache"
-	"repro/internal/cpp/ast"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/token"
+	"repro/internal/frontend"
 	"repro/internal/obs"
 	"repro/internal/vfs"
 )
@@ -30,8 +26,6 @@ type PCH struct {
 	Files map[string]bool
 	// Tokens is the header's full token stream.
 	Tokens []token.Token
-	// TU is the parsed header AST.
-	TU *ast.TranslationUnit
 	// Blob is the serialized form; its length models the on-disk size
 	// (the paper notes PCH files reach hundreds of megabytes).
 	Blob []byte
@@ -39,67 +33,26 @@ type PCH struct {
 	LOC int
 }
 
-// Build constructs a PCH for the given header file.
-func Build(fs *vfs.FS, header string, searchPaths []string, defines map[string]string) (*PCH, error) {
-	return BuildWithCache(fs, header, searchPaths, defines, nil)
-}
-
-// BuildWithCache is Build with a build cache: the expensive preprocess +
-// parse of the header's translation unit is served from (and feeds) the
-// content-addressed TU cache shared with the compilation simulator, so
+// Build constructs a PCH for the given header file. With a cache, the
+// header's preprocess + parse is served from (and feeds) the
+// content-addressed TU cache the compilation simulator shares, so
 // building a PCH and probe-compiling the same header costs one frontend
-// run per process instead of one per use. The produced PCH is
-// byte-identical with or without the cache.
-func BuildWithCache(fs *vfs.FS, header string, searchPaths []string, defines map[string]string, cache *buildcache.Cache) (*PCH, error) {
-	return BuildObserved(fs, header, searchPaths, defines, cache, nil)
-}
-
-// BuildObserved is BuildWithCache with an observability handle: it wraps
-// the build in a "pch.build" span (with preprocess/parse child spans on
-// cache misses) and records blob-size metrics. A nil handle disables all
-// recording at zero cost.
-func BuildObserved(fs *vfs.FS, header string, searchPaths []string, defines map[string]string, cache *buildcache.Cache, o *obs.Obs) (*PCH, error) {
+// run per process; the PCH is byte-identical with or without it. o, when
+// set, records a "pch.build" span (with preprocess/parse child spans on
+// cache misses) and blob-size metrics.
+func Build(fs *vfs.FS, header string, searchPaths []string, defines map[string]string, cache *buildcache.Cache, o *obs.Obs) (*PCH, error) {
 	sp := o.Start("pch.build")
 	sp.SetStr("header", header)
 	defer sp.End()
-	build := func() (*buildcache.TU, []buildcache.Dep, error) {
-		pp := preprocessor.New(fs, searchPaths...)
-		pp.Obs = sp.Obs()
-		if cache != nil {
-			pp.Cache = cache
-		}
-		for k, v := range defines {
-			pp.Define(k, v)
-		}
-		res, err := pp.Preprocess(header)
-		if err != nil {
-			return nil, nil, fmt.Errorf("pch: %v", err)
-		}
-		pr := parser.New(res.Tokens)
-		pr.Obs = sp.Obs()
-		tu, err := pr.Parse()
-		if err != nil {
-			return nil, nil, fmt.Errorf("pch: parse: %v", err)
-		}
-		return &buildcache.TU{Result: res, AST: tu}, buildcache.Manifest(fs, header, res), nil
-	}
-
-	var unit *buildcache.TU
-	var err error
-	if cache == nil {
-		unit, _, err = build()
-	} else {
-		unit, _, err = cache.TranslationUnit(configKey(header, searchPaths, defines), buildcache.Validator(fs), build)
-	}
+	unit, err := frontend.Parse(frontend.Config{FS: fs, SearchPaths: searchPaths, Defines: defines, Cache: cache}, header, sp.Obs())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pch: %v", err)
 	}
 	res := unit.Result
 	p := &PCH{
 		Header: vfs.Clean(header),
 		Files:  map[string]bool{vfs.Clean(header): true},
 		Tokens: res.Tokens,
-		TU:     unit.Unit(),
 		LOC:    res.LOC,
 	}
 	for _, inc := range res.Includes {
@@ -111,18 +64,6 @@ func BuildObserved(fs *vfs.FS, header string, searchPaths []string, defines map[
 	sp.SetInt("blob_bytes", int64(len(p.Blob)))
 	sp.SetInt("files", int64(len(p.Files)))
 	return p, nil
-}
-
-// configKey mirrors compilesim's frontend configuration key so a PCH
-// build and a plain compile of the same header share one TU cache entry.
-func configKey(main string, searchPaths []string, defines map[string]string) string {
-	parts := []string{"compilesim", vfs.Clean(main), strings.Join(searchPaths, "\x1f")}
-	defs := make([]string, 0, len(defines))
-	for k, v := range defines {
-		defs = append(defs, k+"="+v)
-	}
-	sort.Strings(defs)
-	return buildcache.ConfigKey(append(parts, defs...)...)
 }
 
 // Serialize encodes a token stream into the PCH on-disk format: a small

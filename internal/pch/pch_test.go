@@ -19,7 +19,7 @@ namespace lib { template <class T> class Thing { T v; }; }
 }
 
 func TestBuildCoversTransitiveIncludes(t *testing.T) {
-	p, err := Build(buildFS(), "lib/core.hpp", []string{"lib"}, nil)
+	p, err := Build(buildFS(), "lib/core.hpp", []string{"lib"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestBuildCoversTransitiveIncludes(t *testing.T) {
 	if p.Covers("main.cpp") {
 		t.Fatal("should not cover main")
 	}
-	if p.SizeBytes() == 0 || p.LOC == 0 || p.TU == nil {
+	if p.SizeBytes() == 0 || p.LOC == 0 {
 		t.Fatalf("pch = %+v", p)
 	}
 }
@@ -66,7 +66,7 @@ func TestDeserializeBadMagic(t *testing.T) {
 }
 
 func TestDeserializeTruncated(t *testing.T) {
-	p, err := Build(buildFS(), "lib/core.hpp", []string{"lib"}, nil)
+	p, err := Build(buildFS(), "lib/core.hpp", []string{"lib"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPropertySerializeRoundTrips(t *testing.T) {
 }
 
 func TestBuildMissingHeader(t *testing.T) {
-	if _, err := Build(vfs.New(), "nope.hpp", nil, nil); err == nil {
+	if _, err := Build(vfs.New(), "nope.hpp", nil, nil, nil, nil); err == nil {
 		t.Fatal("want error")
 	}
 }
