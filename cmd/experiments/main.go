@@ -146,7 +146,7 @@ func main() {
 	all := !*table2 && !*table3 && !*fig7 && !*fig8 && !*fig9 && !*fig10 && !*ext && !*gcc
 
 	if *gcc {
-		out, err := experiments.GCCSummaryWith(bc)
+		out, err := experiments.GCCSummary(bc)
 		if err != nil {
 			fail("gcc summary", err)
 		}

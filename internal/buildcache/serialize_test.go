@@ -46,21 +46,19 @@ func TestTokenEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// realTU preprocesses a small program with macro tracking on so every
-// Result field is populated, and returns the TU plus its manifest.
+// realTU preprocesses a small program that populates every Result
+// field, and returns the TU plus its manifest.
 func realTU(t *testing.T) (*TU, []Dep) {
 	t.Helper()
 	fs := vfs.New()
 	fs.Write("main.cpp", "#include \"a.hpp\"\n#include <missing.h>\nint main() { return N + a(); }\n")
 	fs.Write("lib/a.hpp", "#pragma once\n#define N 3\n#define SQ(x) ((x)*(x))\nint a();\nint nine = SQ(N);\n")
-	pp := preprocessor.New(fs, "lib")
-	pp.TrackMacros = true
-	res, err := pp.Preprocess("main.cpp")
+	res, err := preprocessor.New(fs, "lib").Preprocess("main.cpp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.MacroDefs) == 0 || len(res.MacroUses) == 0 {
-		t.Fatal("test program exercised no macro tracking")
+		t.Fatal("test program recorded no macros")
 	}
 	if len(res.MissingIncludes) == 0 || len(res.AbsentDeps) == 0 {
 		t.Fatal("test program exercised no negative probes")

@@ -30,8 +30,7 @@ type TU struct {
 	// only diagnose nodes positioned in them.
 	Sources map[string]bool
 	// MacroDefs/MacroUses are the preprocessor's macro records for this
-	// TU (nil when the frontend ran without tracking; the macro pass
-	// then finds nothing).
+	// TU, which every frontend run fills.
 	MacroDefs map[string]preprocessor.MacroDef
 	MacroUses []preprocessor.MacroUse
 	// FS gives passes access to original source text (e.g. to inspect

@@ -75,11 +75,6 @@ func ByName(name string) *Subject {
 	return nil
 }
 
-// Libraries returns the distinct library names in table order.
-func Libraries() []string {
-	return []string{"PyKokkos", "RapidJSON", "OpenCV", "Boost.Asio"}
-}
-
 // writeAll writes the given name→content map into fs.
 func writeAll(fs *vfs.FS, files map[string]string) {
 	for name, content := range files {

@@ -63,9 +63,6 @@ func (p *Parser) Parse() (*ast.TranslationUnit, error) {
 	return tu, nil
 }
 
-// Errors returns all recorded parse errors.
-func (p *Parser) Errors() []error { return p.errs }
-
 // ------------------------------------------------------------ utilities
 
 // Pre-interned spellings for the parser's word dispatch. Matching the

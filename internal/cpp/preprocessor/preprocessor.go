@@ -46,12 +46,10 @@ type Result struct {
 	// these paths are still absent (a new file earlier on a search path
 	// would change resolution).
 	AbsentDeps []string
-	// MacroDefs and MacroUses are recorded only when
-	// Preprocessor.TrackMacros is set (the substitution-safety checker
-	// needs them to detect macros leaking out of a substituted header;
-	// everything else skips the bookkeeping). MacroDefs maps each macro
-	// name to its last #define; MacroUses lists every expansion site in
-	// an active region, in expansion order.
+	// MacroDefs maps each macro name to its last #define; MacroUses
+	// lists every expansion site in an active region, in expansion
+	// order. Both are always recorded: the substitution-safety checker
+	// reads them to detect macros leaking out of a substituted header.
 	MacroDefs map[string]MacroDef
 	MacroUses []MacroUse
 }
@@ -99,10 +97,6 @@ type Preprocessor struct {
 	// the hot path: the instruments below stay nil and every hook on them
 	// is a no-op.
 	Obs *obs.Obs
-	// TrackMacros records macro definitions and expansion sites into
-	// Result.MacroDefs/MacroUses. Off by default: only the safety
-	// checker needs it, and token emission is unchanged either way.
-	TrackMacros bool
 	// PrelexJobs controls background per-file lexing (see prelex.go):
 	// 0 auto-sizes to GOMAXPROCS-1 workers, negative disables, positive
 	// forces that many. Purely a wall-clock optimization — the Result is
@@ -184,10 +178,7 @@ func (pp *Preprocessor) Preprocess(mainFile string) (*Result, error) {
 	pp.pragmaOnce = map[string]bool{}
 	pp.guardedBy = map[string]string{}
 	pp.errs = nil
-	pp.res = &Result{DirectDeps: map[string][]string{}}
-	if pp.TrackMacros {
-		pp.res.MacroDefs = map[string]MacroDef{}
-	}
+	pp.res = &Result{DirectDeps: map[string][]string{}, MacroDefs: map[string]MacroDef{}}
 	pp.seen = map[string]bool{}
 	pp.absentSeen = map[string]bool{}
 	pp.chunks = nil
@@ -558,14 +549,12 @@ func (pp *Preprocessor) handleDefine(hash token.Token, rest []token.Token) {
 		// Benign in practice; keep latest definition like most compilers.
 	}
 	pp.macros.define(m)
-	if pp.TrackMacros {
-		pp.res.MacroDefs[m.Name] = MacroDef{
-			Name:         m.Name,
-			File:         m.Pos.File.Name(),
-			FunctionLike: m.FunctionLike,
-			Body:         renderMacroBody(m.Body),
-			Pos:          m.Pos,
-		}
+	pp.res.MacroDefs[m.Name] = MacroDef{
+		Name:         m.Name,
+		File:         m.Pos.File.Name(),
+		FunctionLike: m.FunctionLike,
+		Body:         renderMacroBody(m.Body),
+		Pos:          m.Pos,
 	}
 }
 
@@ -582,9 +571,9 @@ func renderMacroBody(body []token.Token) string {
 	return b.String()
 }
 
-// noteUse records one macro expansion site when tracking is enabled.
+// noteUse records one macro expansion site unless it is suppressed.
 func (pp *Preprocessor) noteUse(tk token.Token, m *Macro) {
-	if !pp.TrackMacros || pp.suppressUses > 0 {
+	if pp.suppressUses > 0 {
 		return
 	}
 	pp.res.MacroUses = append(pp.res.MacroUses, MacroUse{

@@ -1,6 +1,8 @@
 package preprocessor
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -408,5 +410,41 @@ int local_yes;
 	}
 	if !strings.Contains(out, "int local_yes ;") {
 		t.Fatalf("__has_include quoted wrong: %q", out)
+	}
+}
+
+func TestMacroRecordsAlwaysOn(t *testing.T) {
+	fs := vfs.New()
+	fs.Write("m.hpp", "#define ID(x) (x)\n#define N 1\n")
+	fs.Write("main.cpp", `#include "m.hpp"
+int before = N;
+#define N 2
+#if N > 1 && ID(2) && defined(ID)
+int a = ID(N);
+#endif
+#if 0
+int b = ID(3);
+#endif
+`)
+	res, err := New(fs).Preprocess("main.cpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.MacroDefs["N"]; d.File != "main.cpp" || d.Body != "2" || d.FunctionLike {
+		t.Errorf("MacroDefs[N] = %+v, want the last #define (main.cpp, object-like, body 2)", d)
+	}
+	if d := res.MacroDefs["ID"]; d.File != "m.hpp" || !d.FunctionLike {
+		t.Errorf("MacroDefs[ID] = %+v, want function-like from m.hpp", d)
+	}
+	var got []string
+	for _, u := range res.MacroUses {
+		got = append(got, fmt.Sprintf("%s@%d from %s", u.Name, u.Pos.Line, u.DefFile))
+	}
+	sort.Strings(got)
+	// Only the active-region expansions: none from #if expressions and
+	// none from the #if 0 block.
+	want := []string{"ID@5 from m.hpp", "N@2 from m.hpp", "N@5 from main.cpp"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("MacroUses = %v, want %v", got, want)
 	}
 }

@@ -476,15 +476,6 @@ func (t *Table) lookupFrom(root *Symbol, q ast.QualifiedName, fromFile string, d
 	return nil
 }
 
-// ResolveType resolves a type reference to its ultimate symbol, following
-// aliases; nil when unresolved (builtin types resolve to nil).
-func (t *Table) ResolveType(ty *ast.Type, fromFile string) *Resolution {
-	if ty == nil || ty.Builtin {
-		return nil
-	}
-	return t.Lookup(ty.Name, fromFile)
-}
-
 // UnderlyingType resolves alias chains on a type, returning the final
 // source-level type (e.g. member_t → Kokkos::HostThreadTeamMember<sp_t>).
 // The declarator (pointer/ref) of the original type is preserved.
@@ -536,9 +527,6 @@ func parseQualified(s string) ast.QualifiedName {
 	q.Segments = append(q.Segments, ast.NameSegment{Name: s[start:]})
 	return q
 }
-
-// DeclaredIn reports whether the symbol's primary declaration is in file.
-func (s *Symbol) DeclaredIn(file string) bool { return s.DeclFile == file }
 
 // IsNested reports whether a class symbol is nested inside another class —
 // the case Header Substitution cannot forward declare (§3.2.1).

@@ -173,12 +173,6 @@ func (t Token) Is(text string) bool {
 	return (t.Kind == Keyword || t.Kind == Identifier) && t.Text == text
 }
 
-// IsSym reports whether the token is a keyword or identifier with the
-// given interned spelling — the integer-compare fast path of Is.
-func (t Token) IsSym(sym Symbol) bool {
-	return (t.Kind == Keyword || t.Kind == Identifier) && t.Sym == sym
-}
-
 // IsPunct reports whether the token is the given punctuator kind.
 func (t Token) IsPunct(k Kind) bool { return t.Kind == k }
 

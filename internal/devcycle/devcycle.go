@@ -137,12 +137,6 @@ func Prepare(s *corpus.Subject, mode Mode) (*Setup, error) {
 	return PrepareWith(s, mode, Config{})
 }
 
-// PrepareWithOptions is Prepare with the §6 pre-declared symbol list
-// passed through to the tool.
-func PrepareWithOptions(s *corpus.Subject, mode Mode, preDeclare []string) (*Setup, error) {
-	return PrepareWith(s, mode, Config{PreDeclare: preDeclare})
-}
-
 // Config bundles the optional knobs of a Prepare run.
 type Config struct {
 	// PreDeclare is the §6 pre-declared symbol list passed to the tool.

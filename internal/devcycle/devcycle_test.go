@@ -248,7 +248,7 @@ func TestRerunOnNewSymbolUnlessPreDeclared(t *testing.T) {
 	}
 
 	// With §6 pre-declaration the growth cycle never pays the rerun.
-	pre, err := PrepareWithOptions(s, Yalla, []string{"Kokkos::fence"})
+	pre, err := PrepareWith(s, Yalla, Config{PreDeclare: []string{"Kokkos::fence"}})
 	if err != nil {
 		t.Fatal(err)
 	}

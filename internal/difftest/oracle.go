@@ -48,10 +48,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cpp/ast"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
 	"repro/internal/daemon"
 	"repro/internal/devcycle"
+	"repro/internal/frontend"
 	"repro/internal/fuzzgen"
 	"repro/internal/obs"
 	"repro/internal/split"
@@ -358,32 +357,13 @@ func Interpret(fs *vfs.FS, searchPaths, files []string, budget int) (tr *Trace, 
 	}()
 	tus := make([]*ast.TranslationUnit, 0, len(files))
 	for _, f := range files {
-		tu, err := ParseTU(fs, searchPaths, f)
+		unit, err := frontend.Parse(frontend.Config{FS: fs, SearchPaths: searchPaths}, f, nil)
 		if err != nil {
 			return nil, err
 		}
-		tus = append(tus, tu)
+		tus = append(tus, unit.AST)
 	}
 	return Run(tus, budget)
-}
-
-// ParseTU runs the real pipeline frontend (preprocessor + parser) on one
-// file.
-func ParseTU(fs *vfs.FS, searchPaths []string, file string) (*ast.TranslationUnit, error) {
-	pp := preprocessor.New(fs, searchPaths...)
-	pr, err := pp.Preprocess(file)
-	if err != nil {
-		return nil, fmt.Errorf("%s: preprocess: %v", file, err)
-	}
-	p := parser.New(pr.Tokens)
-	tu, err := p.Parse()
-	if err != nil {
-		return nil, fmt.Errorf("%s: parse: %v", file, err)
-	}
-	if errs := p.Errors(); len(errs) > 0 {
-		return nil, fmt.Errorf("%s: parse: %v", file, errs[0])
-	}
-	return tu, nil
 }
 
 func diffTraces(a, b *Trace) string {

@@ -81,17 +81,6 @@ func (r *SubjectResult) CycleSpeedup(m devcycle.Mode) float64 {
 // Modes lists the configurations in presentation order.
 var Modes = []devcycle.Mode{devcycle.Default, devcycle.PCH, devcycle.Yalla}
 
-// RunSubject measures one subject under all three configurations.
-func RunSubject(s *corpus.Subject) (*SubjectResult, error) {
-	return RunSubjectWith(s, nil)
-}
-
-// RunSubjectWith is RunSubject with a build cache shared across
-// subjects. Virtual times are identical with or without it.
-func RunSubjectWith(s *corpus.Subject, bc *buildcache.Cache) (*SubjectResult, error) {
-	return runSubject(s, bc, nil)
-}
-
 // runSubject measures one subject under all modes, recording a "subject"
 // span with one child span per mode plus a virtual-cost lane per
 // subject × mode on the handle's tracer (nil o disables recording).
@@ -202,9 +191,10 @@ var (
 	cache   = map[string]*inflight{}
 )
 
-// RunSubjectCached memoizes RunSubject per subject name (the simulation
-// is deterministic). Concurrent callers for the same subject share one
-// in-flight run (singleflight) instead of duplicating the work.
+// RunSubjectCached measures one subject under every mode, with no build
+// cache, memoized per subject name (the simulation is deterministic).
+// Concurrent callers for the same subject share one in-flight run
+// (singleflight) instead of duplicating the work.
 func RunSubjectCached(s *corpus.Subject) (*SubjectResult, error) {
 	return runSubjectShared(s, nil, nil)
 }
@@ -258,13 +248,6 @@ type RunConfig struct {
 	// lane ("worker N"), each subject a span tree, and the registry the
 	// pipeline's counters and histograms. Nil disables recording.
 	Obs *obs.Obs
-}
-
-// RunAll measures every subject sequentially with no build cache — the
-// cold path, kept for compatibility and as the baseline the benchmarks
-// compare against.
-func RunAll() ([]*SubjectResult, error) {
-	return RunAllWith(RunConfig{Jobs: 1})
 }
 
 // RunAllWith measures the configured subjects on a bounded worker pool.
@@ -495,7 +478,7 @@ func Extensions(names ...string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		pre, err := devcycle.PrepareWithOptions(s, devcycle.Yalla, []string{"Kokkos::fence"})
+		pre, err := devcycle.PrepareWith(s, devcycle.Yalla, devcycle.Config{PreDeclare: []string{"Kokkos::fence"}})
 		if err != nil {
 			return "", err
 		}
@@ -515,15 +498,10 @@ func Extensions(names ...string) (string, error) {
 // obtain similar results with GCC 9.4.0 ... YALLA speeds up compilation
 // time by ... 31.4× for GCC while PCH speeds up compilation time by ...
 // 2.7× for GCC"): the same pipeline under the GCC cost model, reported as
-// averages.
-func GCCSummary() (string, error) {
-	return GCCSummaryWith(nil)
-}
-
-// GCCSummaryWith is GCCSummary with a shared build cache. Because the
-// cached frontend is cost-model independent, the GCC rerun reuses every
-// TU the clang-model run already processed.
-func GCCSummaryWith(bc *buildcache.Cache) (string, error) {
+// averages. bc may be nil; because the cached frontend is cost-model
+// independent, a cache shared with the clang-model run serves every TU
+// that run already processed.
+func GCCSummary(bc *buildcache.Cache) (string, error) {
 	var b strings.Builder
 	b.WriteString("GCC summary — average compile-time speedups under the g++ cost model\n")
 	fmt.Fprintf(&b, "%-24s %12s %9s %11s %8s %8s\n",

@@ -4,11 +4,15 @@
 // served from, and stored into, the content-addressed TU cache when one
 // is configured.
 //
-// The compilation simulator, the PCH builder, the substitution tool and
-// its safety checker all call Parse with the same configuration key, so
-// a translation unit any of them parsed is a cache hit for the others:
-// a Yalla setup's tool run and its probe compile of the main file share
-// one entry, and a warm setup parses nothing.
+// Parse is the one way the tools run the frontend (TestOneFrontend
+// holds them to it). The compilation simulator, the PCH builder, the
+// substitution tool and its safety checker call it with the same
+// configuration key and a shared cache, so a translation unit any of
+// them parsed is a cache hit for the others: a Yalla setup's tool run
+// and its probe compile of the main file share one entry, and a warm
+// setup parses nothing. The include auditor (iwyu), the header splitter
+// (split), early-cutoff invalidation (inval) and the differential
+// oracles (difftest) call it without a cache.
 package frontend
 
 import (
@@ -48,34 +52,37 @@ type Config struct {
 // o receives "preprocess" and "parse" spans when the unit is built, or
 // one "frontend cache hit" span when the cache serves it.
 func Parse(cfg Config, main string, o *obs.Obs) (*buildcache.TU, error) {
-	build := func() (*buildcache.TU, []buildcache.Dep, error) {
+	build := func() (*buildcache.TU, error) {
 		pp := preprocessor.New(cfg.FS, cfg.SearchPaths...)
 		pp.Obs = o
 		if cfg.Cache != nil {
 			pp.Cache = cfg.Cache
 		}
-		pp.TrackMacros = true
 		for k, v := range cfg.Defines {
 			pp.Define(k, v)
 		}
 		res, err := pp.Preprocess(main)
 		if err != nil {
-			return nil, nil, fmt.Errorf("preprocess %s: %v", main, err)
+			return nil, fmt.Errorf("preprocess %s: %v", main, err)
 		}
 		pr := parser.New(res.Tokens)
 		pr.Obs = o
 		tu, err := pr.Parse()
 		if err != nil {
-			return nil, nil, fmt.Errorf("parse %s: %v", main, err)
+			return nil, fmt.Errorf("parse %s: %v", main, err)
 		}
-		st := countUnit(tu, res, main)
-		return &buildcache.TU{Result: res, AST: tu, Aux: st}, buildcache.Manifest(cfg.FS, main, res), nil
+		return &buildcache.TU{Result: res, AST: tu, Aux: countUnit(tu, res, main)}, nil
 	}
 	if cfg.Cache == nil {
-		t, _, err := build()
-		return t, err
+		return build()
 	}
-	t, hit, err := cfg.Cache.TranslationUnit(configKey(cfg, main), buildcache.Validator(cfg.FS), build)
+	t, hit, err := cfg.Cache.TranslationUnit(configKey(cfg, main), buildcache.Validator(cfg.FS), func() (*buildcache.TU, []buildcache.Dep, error) {
+		t, err := build()
+		if err != nil {
+			return nil, nil, err
+		}
+		return t, buildcache.Manifest(cfg.FS, main, t.Result), nil
+	})
 	if hit {
 		// The preprocess/parse spans never opened; mark the hit so the
 		// timeline still shows where this unit came from.

@@ -1,12 +1,6 @@
 package inval
 
-import (
-	"repro/internal/cpp/lexer"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
-	"repro/internal/cpp/token"
-	"repro/internal/vfs"
-)
+import "repro/internal/vfs"
 
 // DeclExtent is one top-level declaration's byte range inside a header,
 // keyed by the same per-decl interface key the early-cutoff snapshots
@@ -35,34 +29,16 @@ type DeclExtent struct {
 // file does not lex or parse cleanly on its own, in which case callers
 // must treat the file as opaque.
 func Extents(path, content string) (extents []DeclExtent, ok bool) {
-	path = vfs.Clean(path)
-
-	lx := lexer.New(path, content)
+	raw, tu, ok := parseIsolated(vfs.Clean(path), content)
+	if !ok {
+		return nil, false
+	}
 	// lenAt maps a raw token's start offset to its byte length, so an
 	// inclusive AST end position (which points AT the last token) can be
 	// extended to an exclusive byte offset.
-	lenAt := map[int32]int{}
-	for {
-		t := lx.Next()
-		if t.Kind == token.EOF {
-			break
-		}
+	lenAt := make(map[int32]int, len(raw))
+	for _, t := range raw {
 		lenAt[t.Pos.Offset] = len(t.Text)
-	}
-	if len(lx.Errors()) > 0 {
-		return nil, false
-	}
-
-	sfs := vfs.New()
-	sfs.Write(path, content)
-	res, err := preprocessor.New(sfs).Preprocess(path)
-	if err != nil {
-		return nil, false
-	}
-	pr := parser.New(res.Tokens)
-	tu, err := pr.Parse()
-	if err != nil || len(pr.Errors()) > 0 {
-		return nil, false
 	}
 
 	decls, _, _ := collectExtents(tu)

@@ -25,9 +25,8 @@ import (
 
 	"repro/internal/cpp/ast"
 	"repro/internal/cpp/lexer"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/token"
+	"repro/internal/frontend"
 	"repro/internal/vfs"
 )
 
@@ -84,38 +83,9 @@ type span struct{ start, end int32 }
 func Snapshot(path, content string) *FileSnapshot {
 	path = vfs.Clean(path)
 	snap := &FileSnapshot{Path: path, Decls: map[string]DeclSig{}}
-
-	// Raw token stream: comments and whitespace drop out here, which is
-	// exactly the "comments excluded" part of the interface hash. The
-	// raw stream still contains directive tokens and inactive regions,
-	// so nothing an edit can change escapes classification.
-	lx := lexer.New(path, content)
-	var raw []token.Token
-	for {
-		t := lx.Next()
-		if t.Kind == token.EOF {
-			break
-		}
-		raw = append(raw, t)
-	}
-	if len(lx.Errors()) > 0 {
+	raw, tu, ok := parseIsolated(path, content)
+	if !ok {
 		return snap // OK=false: conservative
-	}
-
-	// Structure from an isolated single-file parse: includes are
-	// unresolvable on the empty search path, the preprocessor records
-	// them as missing and moves on, and the parser sees only this
-	// file's own declarations — which is all the diff needs.
-	sfs := vfs.New()
-	sfs.Write(path, content)
-	res, err := preprocessor.New(sfs).Preprocess(path)
-	if err != nil {
-		return snap
-	}
-	pr := parser.New(res.Tokens)
-	tu, err := pr.Parse()
-	if err != nil || len(pr.Errors()) > 0 {
-		return snap
 	}
 
 	decls, bodies, nsSpans := collectExtents(tu)
@@ -185,6 +155,36 @@ func Snapshot(path, content string) *FileSnapshot {
 		snap.Decls[scaffoldKey] = DeclSig{Hash: h.Sum64()}
 	}
 	return snap
+}
+
+// parseIsolated lexes content raw and parses it as a translation unit
+// of its own. The raw stream drops comments and whitespace, which is
+// exactly the "comments excluded" part of the interface hash, but keeps
+// directive tokens and inactive regions, so nothing an edit can change
+// escapes classification. The structure comes from an isolated
+// single-file parse: includes are unresolvable on the empty search
+// path, the preprocessor records them as missing and moves on, and the
+// parser sees only this file's own declarations — which is all the diff
+// needs. ok is false when the file does not lex or parse cleanly.
+func parseIsolated(path, content string) (raw []token.Token, tu *ast.TranslationUnit, ok bool) {
+	lx := lexer.New(path, content)
+	for {
+		t := lx.Next()
+		if t.Kind == token.EOF {
+			break
+		}
+		raw = append(raw, t)
+	}
+	if len(lx.Errors()) > 0 {
+		return nil, nil, false
+	}
+	sfs := vfs.New()
+	sfs.Write(path, content)
+	unit, err := frontend.Parse(frontend.Config{FS: sfs}, path, nil)
+	if err != nil {
+		return nil, nil, false
+	}
+	return raw, unit.AST, true
 }
 
 // scaffoldKey hashes namespace scaffolding and stray semicolons; its

@@ -15,9 +15,8 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/cpp/ast"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/sema"
+	"repro/internal/frontend"
 	"repro/internal/rewrite"
 	"repro/internal/vfs"
 )
@@ -79,15 +78,11 @@ func Analyze(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	pp := preprocessor.New(opts.FS, opts.SearchPaths...)
-	ppRes, err := pp.Preprocess(opts.Source)
+	unit, err := frontend.Parse(frontend.Config{FS: opts.FS, SearchPaths: opts.SearchPaths}, opts.Source, nil)
 	if err != nil {
 		return nil, fmt.Errorf("iwyu: %v", err)
 	}
-	tu, err := parser.New(ppRes.Tokens).Parse()
-	if err != nil {
-		return nil, fmt.Errorf("iwyu: %v", err)
-	}
+	tu, deps := unit.AST, unit.Result.DirectDeps
 	table := sema.NewTable()
 	table.AddUnit(tu)
 
@@ -101,11 +96,11 @@ func Analyze(opts Options) (*Result, error) {
 			return
 		}
 		owner[file] = root
-		for _, dep := range ppRes.DirectDeps[file] {
+		for _, dep := range deps[file] {
 			claim(dep, root)
 		}
 	}
-	directs := ppRes.DirectDeps[srcClean]
+	directs := deps[srcClean]
 	for _, d := range directs {
 		claim(d, d)
 	}
@@ -163,7 +158,7 @@ func Analyze(opts Options) (*Result, error) {
 	})
 
 	// Assemble the per-include report and the cleaned source.
-	res := &Result{Graph: GraphMetrics(ppRes.DirectDeps)}
+	res := &Result{Graph: GraphMetrics(deps)}
 	buf := rewrite.NewBuffer(opts.Source, src)
 	line := 0
 	off := 0

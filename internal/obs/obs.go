@@ -17,7 +17,6 @@
 package obs
 
 import (
-	"context"
 	"log/slog"
 	"time"
 )
@@ -250,24 +249,4 @@ func (sp *Span) End() {
 		dur:    now.Sub(sp.start),
 		attrs:  sp.attrs,
 	})
-}
-
-type ctxKey struct{}
-
-// IntoContext carries the handle in a context; the harness layer passes
-// contexts, lower layers receive the extracted *Obs in their options.
-func IntoContext(ctx context.Context, o *Obs) context.Context {
-	if o == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, o)
-}
-
-// FromContext extracts the handle carried by IntoContext, or nil.
-func FromContext(ctx context.Context) *Obs {
-	if ctx == nil {
-		return nil
-	}
-	o, _ := ctx.Value(ctxKey{}).(*Obs)
-	return o
 }

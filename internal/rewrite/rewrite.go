@@ -94,9 +94,6 @@ func (b *Buffer) lineRange(line int) (start, end int, ok bool) {
 	return 0, 0, false
 }
 
-// HasEdits reports whether any edits are pending.
-func (b *Buffer) HasEdits() bool { return len(b.edits) > 0 }
-
 // Apply produces the rewritten text. Overlapping non-identical ranges are
 // an error; edits at the same insertion point apply in schedule order.
 func (b *Buffer) Apply() (string, error) {

@@ -7,12 +7,12 @@ import (
 	"sync"
 
 	"repro/internal/astmatch"
+	"repro/internal/check"
 	"repro/internal/cpp/ast"
 	"repro/internal/cpp/lexer"
-	"repro/internal/cpp/parser"
-	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/sema"
 	"repro/internal/cpp/token"
+	"repro/internal/frontend"
 	"repro/internal/inval"
 	"repro/internal/iwyu"
 )
@@ -53,8 +53,9 @@ type consumerInc struct {
 // tuInfo is the per-TU slice of views 2 and 3.
 type tuInfo struct {
 	root string
-	// ok is false when the TU did not preprocess or parse; such TUs
-	// keep the compatibility umbrella and skip verification.
+	// ok is false when the TU did not preprocess or parse; it then
+	// records nothing, skips verification, and keeps every consumer
+	// on the compatibility umbrella.
 	ok bool
 	// used maps unit index -> referencing files (def-use view).
 	used map[int]map[string]bool
@@ -66,7 +67,6 @@ type tuInfo struct {
 	consumers map[string][]consumerInc
 	refs      []refRec
 	missing   map[string]bool
-	parseErrs int
 }
 
 // graph is the assembled multi-view symbol graph for one header.
@@ -233,12 +233,11 @@ func (g *graph) unitAt(off int) int {
 // file) plus decl->include claims and AST-level decl->decl edges.
 // Returns the ownership map: resolved file -> include-line index.
 func (g *graph) analyzeHeader(opts Options) (map[string]int, error) {
-	pp := preprocessor.New(opts.FS, opts.SearchPaths...)
-	pp.Obs = opts.Obs
-	ppRes, err := pp.Preprocess(g.hdrPath)
+	unit, err := frontend.Parse(frontend.Config{FS: opts.FS, SearchPaths: opts.SearchPaths}, g.hdrPath, opts.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotDecomposable, err)
 	}
+	ppRes := unit.Result
 	g.metrics = iwyu.GraphMetrics(ppRes.DirectDeps)
 
 	directs := ppRes.DirectDeps[g.hdrPath]
@@ -262,11 +261,7 @@ func (g *graph) analyzeHeader(opts Options) (map[string]int, error) {
 		}
 	}
 
-	pr := parser.New(ppRes.Tokens)
-	tu, err := pr.Parse()
-	if err != nil || len(pr.Errors()) > 0 {
-		return nil, fmt.Errorf("%w: header TU does not parse", ErrNotDecomposable)
-	}
+	tu := unit.AST
 	table := sema.NewTable()
 	table.AddUnit(tu)
 
@@ -402,7 +397,12 @@ func (g *graph) analyzeTUs(opts Options, owner map[string]int) error {
 		go func(i int, root string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			g.tus[i] = g.analyzeTU(opts, root, owner)
+			// A trace lane belongs to one goroutine: each TU's frontend
+			// spans go on a lane of their own.
+			wo := opts
+			wo.Obs = opts.Obs.Lane("split " + root)
+			defer wo.Obs.SealLane()
+			g.tus[i] = g.analyzeTU(wo, root, owner)
 		}(i, root)
 	}
 	wg.Wait()
@@ -445,12 +445,11 @@ func (g *graph) analyzeTU(opts Options, root string, owner map[string]int) *tuIn
 		consumers: map[string][]consumerInc{},
 		missing:   map[string]bool{},
 	}
-	pp := preprocessor.New(opts.FS, opts.SearchPaths...)
-	pp.Obs = opts.Obs
-	ppRes, err := pp.Preprocess(root)
+	unit, err := frontend.Parse(frontend.Config{FS: opts.FS, SearchPaths: opts.SearchPaths}, root, opts.Obs)
 	if err != nil {
 		return info
 	}
+	ppRes := unit.Result
 	for _, m := range ppRes.MissingIncludes {
 		info.missing[m] = true
 	}
@@ -458,18 +457,8 @@ func (g *graph) analyzeTU(opts Options, root string, owner map[string]int) *tuIn
 	// The header's closure within this TU: files whose decls the
 	// umbrella used to provide.
 	closure := map[string]bool{}
-	var reach func(f string)
-	reach = func(f string) {
-		if closure[f] {
-			return
-		}
-		closure[f] = true
-		for _, d := range ppRes.DirectDeps[f] {
-			reach(d)
-		}
-	}
 	if _, seen := ppRes.DirectDeps[g.hdrPath]; seen {
-		reach(g.hdrPath)
+		check.MarkOwned(closure, ppRes.DirectDeps, g.hdrPath)
 	}
 
 	// Consumer files: anything outside the closure directly including
@@ -519,12 +508,7 @@ func (g *graph) analyzeTU(opts Options, root string, owner map[string]int) *tuIn
 		return info
 	}
 
-	pr := parser.New(ppRes.Tokens)
-	tu, err := pr.Parse()
-	if err != nil {
-		return info
-	}
-	info.parseErrs = len(pr.Errors())
+	tu := unit.AST
 	table := sema.NewTable()
 	table.AddUnit(tu)
 

@@ -1,6 +1,7 @@
 package split_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/difftest"
 	"repro/internal/iwyu"
+	"repro/internal/obs"
 	"repro/internal/split"
 	"repro/internal/vfs"
 )
@@ -268,5 +270,54 @@ func TestDecomposeCorpus(t *testing.T) {
 				t.Fatalf("iwyu on decomposed tree: %v", err)
 			}
 		})
+	}
+}
+
+// TestDecomposeTracedTwoRoots analyzes two TU roots at once with a live
+// tracer. Each root's frontend spans must land on a lane of its own (a
+// lane belongs to one goroutine; sharing the caller's is a data race
+// under -race), sealed when the root is done.
+func TestDecomposeTracedTwoRoots(t *testing.T) {
+	fs := synthTree()
+	fs.Write("src/other.cpp", "#include \"usea.hpp\"\nint other() { return use_alpha(); }\n")
+	opts := synthOptions(fs)
+	opts.Sources = append(opts.Sources, "src/other.cpp")
+	tr := obs.NewTracer(nil)
+	opts.Obs = obs.New(tr, nil)
+	if _, err := split.Decompose(opts); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.ExportSealed(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, span := range []string{"preprocess", "parse"} {
+		if got := strings.Count(buf.String(), `"name":"`+span+`"`); got != 2 {
+			t.Errorf("%d %s spans on sealed per-root lanes, want 2", got, span)
+		}
+	}
+}
+
+// TestDecomposeFailedTUKeepsUmbrella shares a consumer header between a
+// healthy TU and one that does not parse. The failed TU is never
+// verified, so the consumer it reaches must keep including the god
+// header even though the healthy TU needs none of its parts.
+func TestDecomposeFailedTUKeepsUmbrella(t *testing.T) {
+	fs := synthTree()
+	common := "#include <god.hpp>\ninline int common_zero() { return 0; }\n"
+	fs.Write("src/common.hpp", common)
+	fs.Write("src/plain.cpp", "#include \"common.hpp\"\nint plain() { return common_zero(); }\n")
+	fs.Write("src/bad.cpp", "#include \"common.hpp\"\nint bad() { return gx::alpha_fn(1) +; }\n")
+	opts := synthOptions(fs)
+	opts.Sources = append(opts.Sources, "src/common.hpp", "src/plain.cpp", "src/bad.cpp")
+	res, err := split.Decompose(opts)
+	if err != nil {
+		t.Fatalf("Decompose: %v", err)
+	}
+	if got, ok := res.Consumers["src/common.hpp"]; ok {
+		t.Errorf("common.hpp rewritten to %v", got)
+	}
+	if got, _ := fs.Read("src/common.hpp"); got != common {
+		t.Errorf("common.hpp changed:\n%s", got)
 	}
 }
