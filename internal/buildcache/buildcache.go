@@ -19,6 +19,14 @@
 // cold run would recompute, so all virtual-time outputs (Tables 2–3,
 // Figures 7–10) stay byte-identical with the cache on or off.
 //
+// Each configuration key holds at most one parsed tree: inserting a
+// variant releases the trees of the key's other variants, which keep
+// their tokens, manifest and Aux, and a tree consumer that hits a
+// treeless variant re-parses it through TU.Unit (see there). Statistics
+// consumers never read a tree, so a superseded variant costs them
+// nothing, and the memory of a long session is one tree per key instead
+// of one per variant.
+//
 // Cached token slices and ASTs are shared across goroutines and must be
 // treated as immutable by all consumers.
 package buildcache
@@ -29,9 +37,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cpp/ast"
+	"repro/internal/cpp/parser"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/token"
 	"repro/internal/obs"
@@ -59,6 +69,9 @@ type Stats struct {
 	// EvictedBytes is the estimated size of TU entries evicted by the
 	// MaxBytes cap.
 	EvictedBytes uint64
+	// ResidentBytes is the estimated resident size of the cached TU
+	// entries (see tokenShare and treeShare): what MaxBytes caps.
+	ResidentBytes uint64
 
 	// Remote (L2) tier traffic; all zero when no Backend is attached.
 	RemoteTokenHits uint64
@@ -89,16 +102,12 @@ func (s Stats) String() string {
 
 // TU is one cached translation-unit frontend result: everything about a
 // compile that depends only on the source text, not on the cost model,
-// optimization level, or PCH configuration.
+// optimization level, or PCH configuration. Build one with NewTU; the
+// parsed tree is reached only through Unit.
 type TU struct {
 	// Result is the full preprocessor output (token stream, include list,
 	// LOC). Shared; read-only.
 	Result *preprocessor.Result
-	// AST is the parsed translation unit as built by a local frontend
-	// run. Shared; read-only. Entries adopted from the remote tier leave
-	// it nil — the wire format does not carry ASTs — and consumers that
-	// genuinely need the tree call Unit(), which re-parses on demand.
-	AST *ast.TranslationUnit
 	// Aux carries caller-supplied derived data (e.g. compilesim's
 	// declaration/instantiation counts) so it is not recomputed on hits.
 	// Aux travels through the remote tier when its type has a registered
@@ -106,11 +115,60 @@ type TU struct {
 	// entirely: the statistics arrive with the tokens.
 	Aux any
 
-	// lazyOnce/lazyAST back Unit()'s on-demand re-parse for adopted
-	// entries; AST itself is never written after construction, so plain
-	// reads of it stay race-free.
-	lazyOnce sync.Once
-	lazyAST  *ast.TranslationUnit
+	// tree is the parsed unit, or nil while the TU holds none: adopted
+	// from the remote tier (the wire format carries no trees), or
+	// released by its cache because a newer variant of its key was
+	// inserted. Swapped atomically, so a consumer that loaded a tree
+	// keeps it whatever the cache does next.
+	tree atomic.Pointer[ast.TranslationUnit]
+	// parsing serializes Unit's re-parse: concurrent callers of a
+	// treeless TU parse it once.
+	parsing sync.Mutex
+	// entry is the cache slot that owns this TU, or nil. Set before the
+	// TU is published and never changed.
+	entry *tuEntry
+}
+
+// NewTU returns a frontend result holding tree (nil when the caller has
+// none).
+func NewTU(res *preprocessor.Result, tree *ast.TranslationUnit, aux any) *TU {
+	t := &TU{Result: res, Aux: aux}
+	t.tree.Store(tree)
+	return t
+}
+
+// Unit returns the parsed translation unit. A TU without a tree — one
+// adopted from the remote tier, or a variant its cache released —
+// re-parses its token stream (the parser is deterministic, so the tree
+// is semantically identical to the one the builder held) and keeps the
+// result; its cache then releases the key's other trees. The re-parse
+// records a "parse" span and counts in parser.units on o, as
+// frontend.Parse does. Returns nil only for an empty TU or an
+// unparseable stream, which a validated entry cannot hold.
+func (t *TU) Unit(o *obs.Obs) *ast.TranslationUnit {
+	if tree := t.tree.Load(); tree != nil {
+		return tree
+	}
+	t.parsing.Lock()
+	defer t.parsing.Unlock()
+	if tree := t.tree.Load(); tree != nil {
+		return tree
+	}
+	if t.Result == nil {
+		return nil
+	}
+	pr := parser.New(t.Result.Tokens)
+	pr.Obs = o
+	tree, err := pr.Parse()
+	if err != nil {
+		return nil
+	}
+	if t.entry != nil {
+		t.entry.cache.holdTree(t.entry, tree)
+	} else {
+		t.tree.Store(tree)
+	}
+	return tree
 }
 
 // Dep is one entry of a TU's dependency manifest. Hash is the content
@@ -138,29 +196,46 @@ type lexEntry struct {
 }
 
 type tuEntry struct {
-	key  string
-	deps []Dep
-	val  *TU
-	// bytes is the entry's estimated in-memory size, charged against
-	// MaxBytes when that cap is set.
-	bytes int
+	cache *Cache
+	key   string
+	deps  []Dep
+	val   *TU
+	// tokBytes and treeBytes split the entry's estimated resident size,
+	// charged against MaxBytes: the token share for as long as the entry
+	// is cached, the tree share only while val holds a tree. The cache
+	// sets and releases val's tree under its lock, so the charge and the
+	// slot always agree.
+	tokBytes, treeBytes int
 	// elem is the entry's node in the cache's LRU list (front = most
 	// recently used); nil once evicted.
 	elem *list.Element
 }
 
-// tuSizeEstimate approximates an entry's resident size: the token
-// stream dominates (struct overhead plus spelling bytes), with the
-// include/dependency strings and a fixed slop for the AST on top. An
-// estimate is enough — MaxBytes is an ops guardrail, not an allocator.
-func tuSizeEstimate(val *TU, deps []Dep) int {
-	// 40-byte Token struct plus the arena'd AST node it typically
-	// expands into.
-	const perToken = 96
+// charge is the entry's current estimated resident size.
+func (e *tuEntry) charge() int {
+	if e.val.tree.Load() != nil {
+		return e.tokBytes + e.treeBytes
+	}
+	return e.tokBytes
+}
+
+// Per-token shares of a TU's size estimate: the 40-byte Token struct
+// (its spelling is counted separately), and the arena'd AST nodes a
+// token typically expands into. An estimate is enough — MaxBytes is an
+// ops guardrail, not an allocator.
+const (
+	tokenBytesPerToken = 40
+	treeBytesPerToken  = 56
+)
+
+// tokenShare approximates the resident size of everything but the tree:
+// the token stream (struct plus spelling bytes), the include and
+// dependency strings, and a fixed slop.
+func tokenShare(val *TU, deps []Dep) int {
 	n := 512
-	if val != nil && val.Result != nil {
+	if val.Result != nil {
 		res := val.Result
-		n += len(res.Tokens) * perToken
+		n += len(res.Tokens) * tokenBytesPerToken
 		for i := range res.Tokens {
 			n += len(res.Tokens[i].Text)
 		}
@@ -175,6 +250,14 @@ func tuSizeEstimate(val *TU, deps []Dep) int {
 		n += len(d.Path) + len(d.Hash) + 32
 	}
 	return n
+}
+
+// treeShare approximates the size of the TU's parsed tree.
+func treeShare(val *TU) int {
+	if val.Result == nil {
+		return 0
+	}
+	return len(val.Result.Tokens) * treeBytesPerToken
 }
 
 type flight struct {
@@ -195,6 +278,7 @@ type instruments struct {
 	bytesSaved   *obs.Counter
 	tokensSaved  *obs.Counter
 	singleflight *obs.Counter
+	resident     *obs.Gauge
 
 	remoteTokenHits *obs.Counter
 	remoteTUHits    *obs.Counter
@@ -247,9 +331,6 @@ type Cache struct {
 	// to a local-only build; the cache never fails a request because
 	// the remote tier is down.
 	Remote Backend
-
-	// tuBytes is the estimated resident size of all cached TU entries.
-	tuBytes int
 }
 
 // New returns an empty cache with default eviction bounds.
@@ -297,7 +378,9 @@ func (c *Cache) AttachMetrics(o *obs.Obs) {
 		bytesSaved:   o.Counter("buildcache.bytes_saved"),
 		tokensSaved:  o.Counter("buildcache.tokens_saved"),
 		singleflight: o.Counter("buildcache.singleflight.dedup"),
+		resident:     o.Gauge("buildcache.resident_bytes"),
 	}
+	c.ins.resident.Set(int64(c.stats.ResidentBytes))
 	if c.Remote != nil {
 		// Remote-tier instruments exist only on tiered caches, so the
 		// metric snapshots of remote-less runs are unchanged by the
@@ -546,28 +629,7 @@ func (c *Cache) TranslationUnit(key string, valid func(Dep) bool, build func() (
 				c.stats.TUMisses++
 				c.ins.tuMisses.Add(1)
 			}
-			e := &tuEntry{key: key, deps: deps, val: val, bytes: tuSizeEstimate(val, deps)}
-			e.elem = c.tuLRU.PushFront(e)
-			c.tus[key] = append(c.tus[key], e)
-			c.tuBytes += e.bytes
-			maxVar := c.MaxTUVariants
-			if maxVar <= 0 {
-				maxVar = DefaultMaxTUVariants
-			}
-			// Per-key variant bound (oldest variant first), then the
-			// optional global bounds: entry count and estimated bytes.
-			// The byte loop keeps at least the entry just inserted — a
-			// single TU larger than MaxBytes caches alone rather than
-			// thrashing.
-			for len(c.tus[key]) > maxVar {
-				c.evictTULocked(c.tus[key][0])
-			}
-			for c.MaxTUEntries > 0 && c.tuLRU.Len() > c.MaxTUEntries {
-				c.evictTULocked(c.tuLRU.Back().Value.(*tuEntry))
-			}
-			for c.MaxBytes > 0 && c.tuBytes > c.MaxBytes && c.tuLRU.Len() > 1 {
-				c.evictTULocked(c.tuLRU.Back().Value.(*tuEntry))
-			}
+			val = c.insertLocked(key, deps, val)
 		}
 		c.mu.Unlock()
 		close(mine.done)
@@ -576,9 +638,9 @@ func (c *Cache) TranslationUnit(key string, valid func(Dep) bool, build func() (
 }
 
 // remoteFetchTU tries to satisfy a TU miss from the remote tier: fetch,
-// integrity-check, decode (which re-parses the AST), then validate the
-// embedded dependency manifest against the local filesystem. Any
-// failure — transport, corruption, stale manifest — is a miss.
+// integrity-check, decode, then validate the embedded dependency
+// manifest against the local filesystem. Any failure — transport,
+// corruption, stale manifest — is a miss.
 func (c *Cache) remoteFetchTU(key string, valid func(Dep) bool) (*TU, []Dep, bool) {
 	start := time.Now()
 	payload, ok, err := c.Remote.Get(NSTU, key)
@@ -702,6 +764,79 @@ func (c *Cache) buildOrRemoteTU(key string, valid func(Dep) bool, build func() (
 	}
 }
 
+// insertLocked caches val as a new variant of key, enforces the bounds,
+// and returns the cached TU. The entry gets a TU of its own, sharing
+// val's result, tree and Aux, so no builder-held TU ever aliases a cache
+// slot. The key's other variants release their trees: this variant is
+// the one the next lookup most likely validates. Caller holds c.mu.
+func (c *Cache) insertLocked(key string, deps []Dep, val *TU) *TU {
+	own := NewTU(val.Result, val.tree.Load(), val.Aux)
+	e := &tuEntry{cache: c, key: key, deps: deps, val: own,
+		tokBytes: tokenShare(own, deps), treeBytes: treeShare(own)}
+	own.entry = e
+	for _, x := range c.tus[key] {
+		c.releaseTreeLocked(x)
+	}
+	e.elem = c.tuLRU.PushFront(e)
+	c.tus[key] = append(c.tus[key], e)
+	c.chargeLocked(e.charge())
+	maxVar := c.MaxTUVariants
+	if maxVar <= 0 {
+		maxVar = DefaultMaxTUVariants
+	}
+	for len(c.tus[key]) > maxVar {
+		c.evictTULocked(c.tus[key][0]) // oldest variant first
+	}
+	for c.MaxTUEntries > 0 && c.tuLRU.Len() > c.MaxTUEntries {
+		c.evictTULocked(c.tuLRU.Back().Value.(*tuEntry))
+	}
+	c.evictOverBytesLocked()
+	return own
+}
+
+// evictOverBytesLocked enforces MaxBytes, least recently used first. It
+// keeps at least one entry: a single TU larger than MaxBytes caches
+// alone rather than thrashing. Caller holds c.mu.
+func (c *Cache) evictOverBytesLocked() {
+	for c.MaxBytes > 0 && c.stats.ResidentBytes > uint64(c.MaxBytes) && c.tuLRU.Len() > 1 {
+		c.evictTULocked(c.tuLRU.Back().Value.(*tuEntry))
+	}
+}
+
+// releaseTreeLocked drops e's tree, if it holds one, and its charge.
+// Consumers that loaded the tree keep it. Caller holds c.mu.
+func (c *Cache) releaseTreeLocked(e *tuEntry) {
+	if e.val.tree.Swap(nil) != nil {
+		c.chargeLocked(-e.treeBytes)
+	}
+}
+
+// holdTree installs a tree Unit re-parsed for e's TU. The key keeps one
+// tree, so its other variants release theirs and the re-parsed variant
+// is charged the tree share. An evicted entry's TU keeps the tree for
+// whoever still holds it, uncharged.
+func (c *Cache) holdTree(e *tuEntry, tree *ast.TranslationUnit) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.val.tree.Swap(tree) != nil || e.elem == nil {
+		return
+	}
+	for _, x := range c.tus[e.key] {
+		if x != e {
+			c.releaseTreeLocked(x)
+		}
+	}
+	c.chargeLocked(e.treeBytes)
+	c.evictOverBytesLocked()
+}
+
+// chargeLocked moves the resident-size estimate by delta bytes and
+// mirrors it in the buildcache.resident_bytes gauge. Caller holds c.mu.
+func (c *Cache) chargeLocked(delta int) {
+	c.stats.ResidentBytes = uint64(int64(c.stats.ResidentBytes) + int64(delta))
+	c.ins.resident.Set(int64(c.stats.ResidentBytes))
+}
+
 // evictTULocked removes one TU entry from the LRU list and its key's
 // variant slice, counting the eviction. Caller holds c.mu.
 func (c *Cache) evictTULocked(e *tuEntry) {
@@ -719,11 +854,12 @@ func (c *Cache) evictTULocked(e *tuEntry) {
 	if len(c.tus[e.key]) == 0 {
 		delete(c.tus, e.key)
 	}
-	c.tuBytes -= e.bytes
+	n := e.charge()
+	c.chargeLocked(-n)
 	c.stats.Evictions++
-	c.stats.EvictedBytes += uint64(e.bytes)
+	c.stats.EvictedBytes += uint64(n)
 	c.ins.evictions.Add(1)
-	c.ins.evictedBytes.Add(uint64(e.bytes))
+	c.ins.evictedBytes.Add(uint64(n))
 }
 
 func depsValid(deps []Dep, valid func(Dep) bool) bool {

@@ -147,10 +147,10 @@ func TestRemoteTUAdoptedAcrossCaches(t *testing.T) {
 	if !reflect.DeepEqual(val.Result, got.Result) {
 		t.Fatal("adopted TU differs from the built one")
 	}
-	if got.AST != nil {
+	if got.tree.Load() != nil {
 		t.Fatal("adoption parsed eagerly; the AST must stay lazy")
 	}
-	if got.Unit() == nil {
+	if got.Unit(nil) == nil {
 		t.Fatal("adopted TU cannot reconstruct its AST")
 	}
 	sa, sb := a.Stats(), b.Stats()
@@ -323,7 +323,7 @@ func TestMaxBytesEviction(t *testing.T) {
 	c.AttachMetrics(obs.New(nil, reg))
 	always := func(Dep) bool { return true }
 	tu, deps := realTU(t)
-	one := tuSizeEstimate(tu, deps)
+	one := tokenShare(tu, deps)
 	c.MaxBytes = 3*one + one/2 // room for ~3 entries
 
 	for i := 0; i < 8; i++ {
@@ -337,8 +337,8 @@ func TestMaxBytesEviction(t *testing.T) {
 	if st.Evictions == 0 || st.EvictedBytes == 0 {
 		t.Fatalf("stats = %+v, want byte-cap evictions", st)
 	}
-	if c.tuBytes > c.MaxBytes {
-		t.Fatalf("resident estimate %d exceeds MaxBytes %d", c.tuBytes, c.MaxBytes)
+	if st.ResidentBytes > uint64(c.MaxBytes) {
+		t.Fatalf("resident estimate %d exceeds MaxBytes %d", st.ResidentBytes, c.MaxBytes)
 	}
 	if n := c.tuLRU.Len(); n == 0 || n > 3 {
 		t.Fatalf("LRU holds %d entries, want 1..3 under the byte cap", n)

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/cpp/ast"
-	"repro/internal/cpp/parser"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/token"
 )
@@ -22,7 +20,7 @@ import (
 // ASTs are not serialized: the parser is deterministic over a token
 // stream, so an adopted entry can always reconstruct the tree — but
 // eagerly re-parsing on every fetch costs almost as much as the compile
-// the fetch avoided, so decode leaves TU.AST nil and TU.Unit() re-parses
+// the fetch avoided, so a decoded TU holds no tree and TU.Unit re-parses
 // lazily, only for the rare consumer that walks the tree. Aux travels
 // instead: callers whose Aux type has a registered AuxCodec (compilesim
 // registers its Stats) get their derived statistics back byte-for-byte,
@@ -519,7 +517,7 @@ func (r *wireReader) strSlice() ([]string, error) {
 // EncodeTU serializes a whole-TU cache entry — the full preprocessor
 // result, its Aux statistics (when a codec is registered for their
 // type), and its dependency manifest — for the remote tier. The AST is
-// intentionally not encoded (see the package comment above); TU.Unit()
+// intentionally not encoded (see the package comment above); TU.Unit
 // re-parses lazily on the receiving node if anything needs the tree.
 func EncodeTU(tu *TU, deps []Dep) ([]byte, error) {
 	if tu == nil || tu.Result == nil {
@@ -718,26 +716,5 @@ func DecodeTU(payload []byte) (*TU, []Dep, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &TU{Result: res, Aux: aux}, deps, nil
-}
-
-// Unit returns the parsed translation unit. Locally built entries return
-// the AST the builder recorded; wire-decoded entries re-parse the token
-// stream on first use (the parser is deterministic, so the result is
-// semantically identical to the tree the building node held) and
-// memoize it. Returns nil only for an empty TU or an unparseable
-// stream, which a hash-validated payload cannot produce.
-func (t *TU) Unit() *ast.TranslationUnit {
-	if t.AST != nil {
-		return t.AST
-	}
-	t.lazyOnce.Do(func() {
-		if t.Result == nil {
-			return
-		}
-		if tu, err := parser.New(t.Result.Tokens).Parse(); err == nil {
-			t.lazyAST = tu
-		}
-	})
-	return t.lazyAST
+	return NewTU(res, nil, aux), deps, nil
 }

@@ -82,20 +82,20 @@ func TestTURoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(deps, gotDeps) {
 		t.Fatalf("manifest differs after round trip:\n got %+v\nwant %+v", gotDeps, deps)
 	}
-	if got.AST != nil {
+	if got.tree.Load() != nil {
 		t.Fatal("decode parsed eagerly; the AST must be lazy")
 	}
 	if got.Aux != nil {
 		t.Fatal("no codec matched, so Aux must decode to nil")
 	}
-	unit := got.Unit()
+	unit := got.Unit(nil)
 	if unit == nil {
 		t.Fatal("Unit() did not re-parse the decoded stream")
 	}
-	if again := got.Unit(); again != unit {
+	if again := got.Unit(nil); again != unit {
 		t.Fatal("Unit() re-parsed instead of memoizing")
 	}
-	want := tu.Unit()
+	want := tu.Unit(nil)
 	if len(unit.Decls) != len(want.Decls) {
 		t.Fatalf("lazy re-parse found %d decls, builder had %d", len(unit.Decls), len(want.Decls))
 	}

@@ -134,7 +134,7 @@ func frontendTU(opts Options, o *obs.Obs, src string, sources map[string]bool) (
 			MarkOwned(owned, res.DirectDeps, hf)
 		}
 	}
-	tu := unit.Unit()
+	tu := unit.Unit(o)
 	tables := sema.NewTable()
 	tables.Obs = o
 	tables.AddUnit(tu)

@@ -174,7 +174,7 @@ func (c *Compiler) Compile(main string) (*Object, error) {
 		return nil, fmt.Errorf("compilesim: %v", err)
 	}
 	res := unit.Result
-	obj.Stats.Stats = frontend.StatsOf(unit, main)
+	obj.Stats.Stats = frontend.StatsOf(unit, main, sp.Obs())
 	obj.Includes = append([]string{vfs.Clean(main)}, res.Includes...)
 	obj.AbsentDeps = res.AbsentDeps
 

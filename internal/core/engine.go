@@ -303,7 +303,7 @@ func (e *Engine) frontend(o *obs.Obs) error {
 				check.MarkOwned(e.headerOwned, res.DirectDeps, hf)
 			}
 		}
-		tu := unit.Unit()
+		tu := unit.Unit(o)
 		e.tables.AddUnit(tu)
 		if !e.fullUnits {
 			tu = check.UserView(tu, e.sourceSet)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cpp/ast"
 	"repro/internal/frontend"
 	"repro/internal/fuzzgen"
+	"repro/internal/obs"
 	"repro/internal/vfs"
 )
 
@@ -23,6 +24,8 @@ type viewCase struct {
 	paths, sources []string
 	fs             *vfs.FS
 	skipCheck      bool
+	// o, when set, records the run (spans and parser.units).
+	o *obs.Obs
 }
 
 // outcome runs Substitute on a copy of the case's tree and renders
@@ -33,7 +36,7 @@ func (c viewCase) outcome(t *testing.T, cache *buildcache.Cache, full bool) stri
 	t.Helper()
 	fs := c.fs.Clone()
 	e, err := newEngine(Options{FS: fs, SearchPaths: c.paths, Sources: c.sources,
-		Header: c.header, OutDir: "out/" + c.name, SkipCheck: c.skipCheck, Cache: cache})
+		Header: c.header, OutDir: "out/" + c.name, SkipCheck: c.skipCheck, Cache: cache, Obs: c.o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +160,7 @@ func TestUserViewKeepsMacroSuppliedCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := check.UserView(unit.AST, map[string]bool{"src/main.cpp": true})
+	view := check.UserView(unit.Unit(nil), map[string]bool{"src/main.cpp": true})
 	kept := map[string]bool{}
 	for _, d := range view.Decls {
 		fn, ok := d.(*ast.FunctionDecl)
@@ -180,7 +183,7 @@ func TestUserViewKeepsMacroSuppliedCode(t *testing.T) {
 		}
 	}
 	if !kept["entry"] || !kept["run"] || len(view.Decls) != 2 {
-		t.Errorf("view kept %v of %d declarations, want entry and run", kept, len(unit.AST.Decls))
+		t.Errorf("view kept %v of %d declarations, want entry and run", kept, len(unit.Unit(nil).Decls))
 	}
 
 	for _, skip := range []bool{false, true} {

@@ -141,9 +141,9 @@ func Prepare(s *corpus.Subject, mode Mode) (*Setup, error) {
 type Config struct {
 	// PreDeclare is the §6 pre-declared symbol list passed to the tool.
 	PreDeclare []string
-	// FS, when set, is used as the working tree directly instead of
-	// cloning the subject's pristine FS. Daemon sessions pass their live
-	// copy-on-write overlay here, so edits applied after Prepare are
+	// FS, when set, is used as the working tree directly instead of an
+	// overlay over the subject's pristine FS. Daemon sessions pass their
+	// live copy-on-write overlay here, so edits applied after Prepare are
 	// visible to subsequent Cycle compiles (the build cache invalidates
 	// exactly the translation units whose content hashes changed).
 	FS *vfs.FS
@@ -167,7 +167,9 @@ func PrepareWith(s *corpus.Subject, mode Mode, cfg Config) (*Setup, error) {
 
 	fs := cfg.FS
 	if fs == nil {
-		fs = s.FS.Clone()
+		// An overlay memoizes content hashes in the shared subject tree,
+		// so repeated Prepares validate cached units without re-hashing.
+		fs = s.FS.Overlay()
 	}
 	fs.SetReadCounter(o.Counter("vfs.reads"))
 	st := &Setup{Subject: s, Mode: mode, FS: fs, preDeclared: map[string]bool{}, obs: o}

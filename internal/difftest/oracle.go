@@ -361,7 +361,7 @@ func Interpret(fs *vfs.FS, searchPaths, files []string, budget int) (tr *Trace, 
 		if err != nil {
 			return nil, err
 		}
-		tus = append(tus, unit.AST)
+		tus = append(tus, unit.Unit(nil))
 	}
 	return Run(tus, budget)
 }

@@ -527,7 +527,7 @@ func GCCSummary(bc *buildcache.Cache) (string, error) {
 // compileTriple compiles one subject under the three configurations with
 // an explicit cost model, returning virtual milliseconds.
 func compileTriple(s *corpus.Subject, model compilesim.CostModel, bc *buildcache.Cache) (def, pchMs, yal float64, err error) {
-	fs := s.FS.Clone()
+	fs := s.FS.Overlay()
 	cc := compilesim.New(fs, s.SearchPaths...)
 	cc.Model = model
 	cc.Cache = bc

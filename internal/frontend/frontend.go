@@ -46,8 +46,9 @@ type Config struct {
 // Parse returns the frontend result for main: the preprocessor output
 // (with macro records), the parsed tree, and the unit's Stats in Aux.
 // The result may be shared with other callers through the cache and
-// must be treated as read-only. Entries adopted from a remote cache
-// tier carry no tree; call Unit on the result to get one.
+// must be treated as read-only. Read the tree through Unit: a cached
+// entry adopted from a remote tier, or one whose key has a newer
+// variant, holds none, and Unit re-parses it.
 //
 // o receives "preprocess" and "parse" spans when the unit is built, or
 // one "frontend cache hit" span when the cache serves it.
@@ -71,7 +72,7 @@ func Parse(cfg Config, main string, o *obs.Obs) (*buildcache.TU, error) {
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %v", main, err)
 		}
-		return &buildcache.TU{Result: res, AST: tu, Aux: countUnit(tu, res, main)}, nil
+		return buildcache.NewTU(res, tu, countUnit(tu, res, main)), nil
 	}
 	if cfg.Cache == nil {
 		return build()
@@ -122,12 +123,12 @@ type Stats struct {
 // StatsOf returns the statistics of a Parse result for main. Results
 // built by Parse carry them in Aux; an entry adopted from a remote node
 // that lacked the Stats codec has none, and they are re-derived from
-// its tree (deterministic either way).
-func StatsOf(t *buildcache.TU, main string) Stats {
+// its tree (deterministic either way; o records the re-parse).
+func StatsOf(t *buildcache.TU, main string, o *obs.Obs) Stats {
 	if st, ok := t.Aux.(Stats); ok {
 		return st
 	}
-	return countUnit(t.Unit(), t.Result, main)
+	return countUnit(t.Unit(o), t.Result, main)
 }
 
 // countUnit derives the unit statistics from the preprocessor result and

@@ -22,8 +22,8 @@ var direct = map[string]bool{
 // allowedDirect lists the sites that construct a preprocessor or parser
 // by design, keyed by file or by "file:function".
 var allowedDirect = map[string]string{
-	"internal/buildcache/serialize.go:(*TU).Unit": "decode re-parse of an adopted entry; buildcache cannot import frontend",
-	"internal/experiments/benchfrontend.go":       "stage micro-benchmarks time preprocess and parse separately",
+	"internal/buildcache/buildcache.go:(*TU).Unit": "re-parse of an adopted or released entry; buildcache cannot import frontend",
+	"internal/experiments/benchfrontend.go":        "stage micro-benchmarks time preprocess and parse separately",
 }
 
 // TestOneFrontend fails on any preprocessor.New or parser.New in the

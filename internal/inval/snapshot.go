@@ -184,7 +184,7 @@ func parseIsolated(path, content string) (raw []token.Token, tu *ast.Translation
 	if err != nil {
 		return nil, nil, false
 	}
-	return raw, unit.AST, true
+	return raw, unit.Unit(nil), true
 }
 
 // scaffoldKey hashes namespace scaffolding and stray semicolons; its

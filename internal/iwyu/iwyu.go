@@ -82,7 +82,7 @@ func Analyze(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("iwyu: %v", err)
 	}
-	tu, deps := unit.AST, unit.Result.DirectDeps
+	tu, deps := unit.Unit(nil), unit.Result.DirectDeps
 	table := sema.NewTable()
 	table.AddUnit(tu)
 

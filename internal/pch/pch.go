@@ -26,11 +26,12 @@ type PCH struct {
 	Files map[string]bool
 	// Tokens is the header's full token stream.
 	Tokens []token.Token
-	// Blob is the serialized form; its length models the on-disk size
-	// (the paper notes PCH files reach hundreds of megabytes).
-	Blob []byte
 	// LOC is the header's source-line contribution.
 	LOC int
+
+	// size is len(Serialize(Tokens)), computed without building the
+	// blob.
+	size int
 }
 
 // Build constructs a PCH for the given header file. With a cache, the
@@ -58,12 +59,25 @@ func Build(fs *vfs.FS, header string, searchPaths []string, defines map[string]s
 	for _, inc := range res.Includes {
 		p.Files[inc] = true
 	}
-	p.Blob = Serialize(res.Tokens)
+	p.size = serializedSize(res.Tokens)
 	o.Counter("pch.builds").Add(1)
-	o.Observe("pch.blob_bytes", float64(len(p.Blob)))
-	sp.SetInt("blob_bytes", int64(len(p.Blob)))
+	o.Observe("pch.blob_bytes", float64(p.size))
+	sp.SetInt("blob_bytes", int64(p.size))
 	sp.SetInt("files", int64(len(p.Files)))
 	return p, nil
+}
+
+// serializedSize is len(Serialize(toks)): the PCH's modeled on-disk size,
+// which is all a compile reads of the format.
+func serializedSize(toks []token.Token) int {
+	var tmp [binary.MaxVarintLen64]byte
+	n := len("YPCH") + binary.PutUvarint(tmp[:], uint64(len(toks)))
+	for _, t := range toks {
+		n += binary.PutUvarint(tmp[:], uint64(t.Kind)) +
+			binary.PutUvarint(tmp[:], uint64(t.Pos.Offset)) +
+			binary.PutUvarint(tmp[:], uint64(len(t.Text))) + len(t.Text)
+	}
+	return n
 }
 
 // Serialize encodes a token stream into the PCH on-disk format: a small
@@ -132,5 +146,6 @@ func Deserialize(blob []byte) ([]token.Token, error) {
 // Covers reports whether the PCH covers the given file.
 func (p *PCH) Covers(file string) bool { return p.Files[file] }
 
-// SizeBytes is the modeled on-disk size.
-func (p *PCH) SizeBytes() int { return len(p.Blob) }
+// SizeBytes is the modeled on-disk size: the length of the serialized
+// token stream (the paper notes PCH files reach hundreds of megabytes).
+func (p *PCH) SizeBytes() int { return p.size }

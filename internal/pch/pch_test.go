@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/corpus"
 	"repro/internal/cpp/token"
 	"repro/internal/vfs"
 )
@@ -70,11 +71,12 @@ func TestDeserializeTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cut := range []int{5, 8, len(p.Blob) / 2} {
-		if cut >= len(p.Blob) {
+	blob := Serialize(p.Tokens)
+	for _, cut := range []int{5, 8, len(blob) / 2} {
+		if cut >= len(blob) {
 			continue
 		}
-		if _, err := Deserialize(p.Blob[:cut]); err == nil {
+		if _, err := Deserialize(blob[:cut]); err == nil {
 			t.Fatalf("want error for blob truncated at %d", cut)
 		}
 	}
@@ -99,6 +101,32 @@ func TestPropertySerializeRoundTrips(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSizeBytesIsSerializedLength pins the modeled on-disk size, which
+// Build computes without serializing, to the length of the format
+// Serialize defines, for every corpus subject's header.
+func TestSizeBytesIsSerializedLength(t *testing.T) {
+	for _, s := range corpus.All() {
+		hdr := ""
+		for _, sp := range s.SearchPaths {
+			cand := sp + "/" + s.Header
+			if sp == "." {
+				cand = s.Header
+			}
+			if s.FS.Exists(cand) {
+				hdr = cand
+				break
+			}
+		}
+		p, err := Build(s.FS, hdr, s.SearchPaths, nil, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if got, want := p.SizeBytes(), len(Serialize(p.Tokens)); got != want {
+			t.Errorf("%s: SizeBytes() = %d, serialized length %d", s.Name, got, want)
+		}
 	}
 }
 

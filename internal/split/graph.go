@@ -261,7 +261,7 @@ func (g *graph) analyzeHeader(opts Options) (map[string]int, error) {
 		}
 	}
 
-	tu := unit.AST
+	tu := unit.Unit(opts.Obs)
 	table := sema.NewTable()
 	table.AddUnit(tu)
 
@@ -508,7 +508,7 @@ func (g *graph) analyzeTU(opts Options, root string, owner map[string]int) *tuIn
 		return info
 	}
 
-	tu := unit.AST
+	tu := unit.Unit(opts.Obs)
 	table := sema.NewTable()
 	table.AddUnit(tu)
 
