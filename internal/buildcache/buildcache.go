@@ -127,6 +127,22 @@ type TU struct {
 	// entry is the cache slot that owns this TU, or nil. Set before the
 	// TU is published and never changed.
 	entry *tuEntry
+	// memo holds the products derived from the token stream; see Memo.
+	memo sync.Map
+}
+
+// Memo returns the product stored on t under key, storing build's result
+// on first use. A product derived from the token stream (a PCH's size, a
+// compile's per-file token runs) rides on the TU, so it survives the
+// release of the tree and is built once per cached unit. Each package
+// keys its products with an unexported type; concurrent first callers
+// may each run build, and all of them get the stored result.
+func (t *TU) Memo(key any, build func() any) any {
+	if v, ok := t.memo.Load(key); ok {
+		return v
+	}
+	v, _ := t.memo.LoadOrStore(key, build())
+	return v
 }
 
 // NewTU returns a frontend result holding tree (nil when the caller has
@@ -252,7 +268,9 @@ func tokenShare(val *TU, deps []Dep) int {
 	return n
 }
 
-// treeShare approximates the size of the TU's parsed tree.
+// treeShare approximates the size of the TU's parsed tree. The products
+// memoized on a tree ride on it uncharged: its symbol table (about 18
+// bytes per token) and its user views (a few pointers).
 func treeShare(val *TU) int {
 	if val.Result == nil {
 		return 0

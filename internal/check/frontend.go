@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"path"
+	"slices"
 	"strings"
 	"sync"
 
@@ -135,13 +136,10 @@ func frontendTU(opts Options, o *obs.Obs, src string, sources map[string]bool) (
 		}
 	}
 	tu := unit.Unit(o)
-	tables := sema.NewTable()
-	tables.Obs = o
-	tables.AddUnit(tu)
 	return &TU{
 		Source:      vfs.Clean(src),
 		AST:         UserView(tu, sources),
-		Tables:      tables,
+		Tables:      sema.Of(o, tu),
 		HeaderOwned: owned,
 		Sources:     sources,
 		MacroDefs:   res.MacroDefs,
@@ -156,9 +154,36 @@ func frontendTU(opts Options, o *obs.Obs, src string, sources map[string]bool) (
 // substitution engine's analysis, discards nodes whose own position
 // lies outside the sources, so walking the view gives exactly the
 // results of walking tu while skipping the library code around the
-// user's declarations. The view depends on the source set, so it is
-// built per run and never stored with a cached tree.
+// user's declarations. The view rides on tu for the last source set it
+// was asked for (see ast.TranslationUnit.Memo), so the runs that share a
+// cached tree share its view; it is read-only.
 func UserView(tu *ast.TranslationUnit, sources map[string]bool) *ast.TranslationUnit {
+	key := make([]string, 0, len(sources))
+	for s := range sources {
+		key = append(key, s)
+	}
+	slices.Sort(key)
+	s := tu.Memo(viewKey{}, func() any { return new(viewSlot) }).(*viewSlot)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.view == nil || !slices.Equal(s.sources, key) {
+		s.sources, s.view = key, userView(tu, sources)
+	}
+	return s.view
+}
+
+// viewKey keys a tree's user-view slot.
+type viewKey struct{}
+
+// viewSlot holds the user view of one tree for one source set, sorted.
+type viewSlot struct {
+	mu      sync.Mutex
+	sources []string
+	view    *ast.TranslationUnit
+}
+
+// userView builds the view UserView describes.
+func userView(tu *ast.TranslationUnit, sources map[string]bool) *ast.TranslationUnit {
 	ids := make(map[token.FileID]bool, len(sources))
 	for s := range sources {
 		ids[token.InternFile(s)] = true

@@ -48,10 +48,11 @@ func runUserSpecializesTemplate(tu *TU, report func(Diagnostic)) {
 	// that collides with a library class shows up as a single symbol with
 	// declarations on both sides of the header boundary. Walking the
 	// table (rather than looking names up from the global scope) finds
-	// collisions inside namespaces too.
-	eachClassSym(tu.Tables.Global, func(sym *sema.Symbol) {
+	// collisions inside namespaces too; only a class with a definition in
+	// a source can be reported, so the walk visits just those.
+	for _, sym := range tu.Tables.ClassesDefinedIn(tu.Sources) {
 		if !anyDeclInHeader(tu, sym) {
-			return
+			continue
 		}
 		for _, d := range sym.Decls {
 			cd, ok := d.(*ast.ClassDecl)
@@ -66,19 +67,7 @@ func runUserSpecializesTemplate(tu *TU, report func(Diagnostic)) {
 				"user code %s substituted library class %s; the definition conflicts with the forward declaration",
 				what, sym.Qualified()))
 		}
-	})
-}
-
-// eachClassSym visits every class symbol reachable from root.
-func eachClassSym(root *sema.Symbol, f func(*sema.Symbol)) {
-	root.EachChild(func(c *sema.Symbol) {
-		if c.Kind == sema.ClassSym {
-			f(c)
-		}
-		if c.Kind == sema.NamespaceSym || c.Kind == sema.ClassSym {
-			eachClassSym(c, f)
-		}
-	})
+	}
 }
 
 // anyDeclInHeader reports whether any of the symbol's merged

@@ -179,22 +179,14 @@ func (c *Compiler) Compile(main string) (*Object, error) {
 	obj.AbsentDeps = res.AbsentDeps
 
 	// Attribute tokens to PCH-covered files vs user files. This depends
-	// on the PCH configuration, so it is recomputed per compile even on a
-	// cache hit.
+	// on the PCH configuration, so it is summed per compile, over the
+	// unit's per-file token runs.
 	user := obj.Stats.Tokens
 	if c.PCH != nil {
 		user = 0
-		// Token streams have long runs from the same file; memoize the
-		// coverage lookup per file transition.
-		var lastFile token.FileID
-		covered, haveLast := false, false
-		for _, t := range res.Tokens {
-			if !haveLast || t.Pos.File != lastFile {
-				lastFile, haveLast = t.Pos.File, true
-				covered = c.PCH.Covers(lastFile.Name())
-			}
-			if !covered {
-				user++
+		for _, r := range fileRuns(unit) {
+			if !c.PCH.Covers(r.file.Name()) {
+				user += r.tokens
 			}
 		}
 		obj.Stats.PCHBlobBytes = c.PCH.SizeBytes()
@@ -233,6 +225,32 @@ func (c *Compiler) Compile(main string) (*Object, error) {
 	sp.SetInt("tokens", int64(obj.Stats.Tokens))
 	sp.SetInt("vcost_us", obj.Phases.Total().Microseconds())
 	return obj, nil
+}
+
+// fileRun is a maximal run of consecutive tokens from one file.
+type fileRun struct {
+	file   token.FileID
+	tokens int
+}
+
+// runsKey keys a unit's file runs (see buildcache.TU.Memo).
+type runsKey struct{}
+
+// fileRuns returns the per-file token runs of unit's stream, in stream
+// order, built once per unit: token streams have long runs from the same
+// file, so a compile looks PCH coverage up once per run, not per token.
+func fileRuns(unit *buildcache.TU) []fileRun {
+	return unit.Memo(runsKey{}, func() any {
+		var runs []fileRun
+		for _, t := range unit.Result.Tokens {
+			if n := len(runs); n > 0 && runs[n-1].file == t.Pos.File {
+				runs[n-1].tokens++
+			} else {
+				runs = append(runs, fileRun{file: t.Pos.File, tokens: 1})
+			}
+		}
+		return runs
+	}).([]fileRun)
 }
 
 // semaShare discounts semantic analysis when declarations arrive

@@ -2,6 +2,7 @@ package compilesim
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/buildcache"
@@ -247,5 +248,46 @@ func TestCacheHitAcrossClones(t *testing.T) {
 	}
 	if st := bc.Stats(); st.TUHits != 1 {
 		t.Fatalf("cache stats = %+v, want a cross-clone hit", st)
+	}
+}
+
+// TestConcurrentPCHCompilesShareMemos builds the PCH and compiles the
+// main file against it from several goroutines on one cache: they race
+// to memoize the header unit's serialized size and the main unit's file
+// runs, and every result must equal an uncached compile.
+func TestConcurrentPCHCompilesShareMemos(t *testing.T) {
+	fs := smallTree()
+	compile := func(cache *buildcache.Cache) (*Object, error) {
+		p, err := pch.Build(fs, "lib/big.hpp", []string{"lib"}, nil, cache, nil)
+		if err != nil {
+			return nil, err
+		}
+		cc := New(fs, "lib")
+		cc.PCH, cc.Cache = p, cache
+		return cc.Compile("main.cpp")
+	}
+	want, err := compile(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := buildcache.New()
+	got := make([]*Object, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = compile(cache)
+		}(i)
+	}
+	wg.Wait()
+	for i, obj := range got {
+		if errs[i] != nil {
+			t.Fatalf("compile %d: %v", i, errs[i])
+		}
+		if obj.Stats != want.Stats || obj.Phases != want.Phases {
+			t.Errorf("compile %d: stats %+v phases %+v, uncached %+v %+v", i, obj.Stats, obj.Phases, want.Stats, want.Phases)
+		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/buildcache"
 	"repro/internal/check"
+	"repro/internal/cpp/ast"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/sema"
 	"repro/internal/frontend"
@@ -264,16 +265,15 @@ func (e *Engine) run() (*Result, error) {
 }
 
 // frontend preprocesses and parses each source through the shared
-// frontend, builds the symbol table over the full translation units,
-// computes the header-owned file set, and keeps each unit's user view
-// (see check.UserView) for the analysis walks.
+// frontend, takes the symbol table of the full translation units (see
+// sema.Of), computes the header-owned file set, and keeps each unit's
+// user view (see check.UserView) for the analysis walks.
 func (e *Engine) frontend(o *obs.Obs) error {
 	for _, s := range e.opts.Sources {
 		e.sourceSet[vfs.Clean(s)] = true
 	}
-	e.tables = sema.NewTable()
-	e.tables.Obs = o
 	e.an = newAnalysis()
+	trees := make([]*ast.TranslationUnit, 0, len(e.opts.Sources))
 
 	cfg := frontend.Config{FS: e.fs, SearchPaths: e.opts.SearchPaths, Defines: e.opts.Defines, Cache: e.opts.Cache}
 	for _, src := range e.opts.Sources {
@@ -304,12 +304,13 @@ func (e *Engine) frontend(o *obs.Obs) error {
 			}
 		}
 		tu := unit.Unit(o)
-		e.tables.AddUnit(tu)
+		trees = append(trees, tu)
 		if !e.fullUnits {
 			tu = check.UserView(tu, e.sourceSet)
 		}
 		e.an.units[vfs.Clean(src)] = tu
 	}
+	e.tables = sema.Of(o, trees...)
 	if e.headerFile == "" {
 		return fmt.Errorf("core: header %q is not included by any source", e.opts.Header)
 	}

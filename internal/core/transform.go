@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/cpp/ast"
-	"repro/internal/cpp/sema"
 )
 
 // editRec is one pending source edit, in original-file offsets.
@@ -569,6 +568,3 @@ func (e *Engine) renderFunctor(fc *Functor, body string) string {
 	b.WriteString("};\n")
 	return b.String()
 }
-
-// symScopeOf is a helper for future use resolving within namespaces.
-var _ = sema.NamespaceSym

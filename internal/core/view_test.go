@@ -34,11 +34,21 @@ type viewCase struct {
 // the analysis and the gate walk whole units instead of user views.
 func (c viewCase) outcome(t *testing.T, cache *buildcache.Cache, full bool) string {
 	t.Helper()
+	out, err := c.render(cache, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// render is outcome for callers off the test goroutine: it returns the
+// failures outcome reports.
+func (c viewCase) render(cache *buildcache.Cache, full bool) (string, error) {
 	fs := c.fs.Clone()
 	e, err := newEngine(Options{FS: fs, SearchPaths: c.paths, Sources: c.sources,
 		Header: c.header, OutDir: "out/" + c.name, SkipCheck: c.skipCheck, Cache: cache, Obs: c.o})
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	e.fullUnits = full
 	res, err := e.run()
@@ -50,7 +60,7 @@ func (c viewCase) outcome(t *testing.T, cache *buildcache.Cache, full bool) stri
 			js, _ := json.Marshal(ge.Diagnostics)
 			fmt.Fprintf(&b, "gate %s %s\n", ge.Verdict, js)
 		}
-		return b.String()
+		return b.String(), nil
 	}
 	js, _ := json.Marshal(res.Report)
 	fmt.Fprintf(&b, "report %s\nincludes %v\nabsent %v\n", js, res.Includes, res.AbsentDeps)
@@ -62,18 +72,21 @@ func (c viewCase) outcome(t *testing.T, cache *buildcache.Cache, full bool) stri
 	for _, p := range paths {
 		content, err := fs.Read(p)
 		if err != nil {
-			t.Fatalf("%s: generated %s: %v", c.name, p, err)
+			return "", fmt.Errorf("%s: generated %s: %v", c.name, p, err)
 		}
 		fmt.Fprintf(&b, "== %s\n%s\n", p, content)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
-// TestUserViewExact proves the user views exact: over every corpus
-// subject and generated programs (plain, with unsafe plants — checked
-// gated and, so the analysis sees them too, ungated — and god-header
-// shaped), walking the views and walking the whole units yield the same
-// gate diagnostics, report and generated files.
+// TestUserViewExact proves the user views and the memos exact: over
+// every corpus subject and generated programs (plain, with unsafe plants
+// — checked gated and, so the analysis sees them too, ungated — and
+// god-header shaped), an uncached run, a cold and a warm run on one
+// cache, and a run walking the whole units yield the same gate
+// diagnostics, report and generated files. The warm run and the
+// whole-unit run find the symbol table (and the warm run the user
+// views) memoized on the cached trees.
 func TestUserViewExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus and fuzz sweep in -short mode")
@@ -105,15 +118,28 @@ func TestUserViewExact(t *testing.T) {
 	}
 	refused := 0
 	for _, c := range cases {
-		// One cache per case for both walks: each unit is parsed once and
-		// both runs read the same shared tree.
+		// One cache per case for the cached runs: each unit is parsed
+		// once and every cached run reads the same shared tree. The
+		// first run is the reference; under -race, which multiplies the
+		// cost of the uncached parse and finds nothing in it, the cold
+		// cached run is.
 		cache := buildcache.New()
-		view := c.outcome(t, cache, false)
-		if full := c.outcome(t, cache, true); view != full {
-			t.Errorf("%s (skipCheck=%v): user view and whole unit disagree\nview:\n%s\nfull:\n%s",
-				c.name, c.skipCheck, view, full)
+		runs := []struct {
+			name  string
+			cache *buildcache.Cache
+			full  bool
+		}{{"uncached", nil, false}, {"cold user view", cache, false}, {"warm user view", cache, false}, {"whole unit", cache, true}}
+		if raceEnabled {
+			runs = runs[1:]
 		}
-		if strings.HasPrefix(view, "error:") {
+		want := c.outcome(t, runs[0].cache, runs[0].full)
+		for _, run := range runs[1:] {
+			if got := c.outcome(t, run.cache, run.full); got != want {
+				t.Errorf("%s (skipCheck=%v): %s run and %s run disagree\n%s:\n%s\n%s:\n%s",
+					c.name, c.skipCheck, run.name, runs[0].name, run.name, got, runs[0].name, want)
+			}
+		}
+		if strings.HasPrefix(want, "error:") {
 			refused++
 		}
 	}

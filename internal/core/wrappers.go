@@ -492,7 +492,7 @@ func (e *Engine) createMethodWrapper(ws *wrapperSet, mu *MethodUse) *Wrapper {
 	var mparams []ast.ParamDecl
 	if mu.Decl != nil {
 		rt := mu.Decl.ReturnType
-		retText = e.typeText(rt, symScope(mu.ClassSym), classSubst)
+		retText = e.typeText(rt, mu.ClassSym, classSubst)
 		// A method returning a header class by value (e.g. Mat::clone)
 		// heap-allocates like a function wrapper does (§3.2.2).
 		if rt != nil && rt.IsByValue() && e.scopedHeaderClass(rt, mu.ClassSym) != nil {
@@ -521,7 +521,7 @@ func (e *Engine) createMethodWrapper(ws *wrapperSet, mu *MethodUse) *Wrapper {
 		if pname == "" {
 			pname = fmt.Sprintf("a%d", i)
 		}
-		ptext := e.typeText(p.Type, symScope(mu.ClassSym), classSubst)
+		ptext := e.typeText(p.Type, mu.ClassSym, classSubst)
 		if pointerParam(i) {
 			// The argument variable was converted to a pointer; accept a
 			// pointer and dereference at the original call.
@@ -561,7 +561,7 @@ func (e *Engine) createMethodWrapper(ws *wrapperSet, mu *MethodUse) *Wrapper {
 		var ptexts []string
 		ptexts = append(ptexts, objText+"&")
 		for i, p := range mparams {
-			pt := e.typeText(p.Type, symScope(mu.ClassSym), classSubst)
+			pt := e.typeText(p.Type, mu.ClassSym, classSubst)
 			if w.PointerParams[i] {
 				pt = strings.TrimRight(pt, "&") + "*"
 			}
@@ -700,10 +700,6 @@ func (e *Engine) envForVarDecl(cu *CtorUse) *funcEnv {
 	}
 	return &funcEnv{vars: map[string]*envVar{}}
 }
-
-// symScope returns the scope to resolve a class's member signature types
-// from: the class symbol itself.
-func symScope(s *sema.Symbol) *sema.Symbol { return s }
 
 func sanitizeIdent(s string) string {
 	var b strings.Builder

@@ -7,6 +7,7 @@ package ast
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/cpp/token"
 )
@@ -190,6 +191,24 @@ func (t *Type) Clone() *Type {
 // TranslationUnit is the root node for one parsed file set.
 type TranslationUnit struct {
 	Decls []Decl
+
+	// memo holds the products derived from this tree; see Memo.
+	memo sync.Map
+}
+
+// Memo returns the product stored on tu under key, storing build's
+// result on first use. A product derived from a tree (its symbol table,
+// its user views) rides on the tree, so it is built once and released
+// with it. Each package keys its products with an unexported type, so
+// they never collide. Concurrent first callers may each run build, and
+// all of them get the stored result: keep build cheap (an empty slot the
+// caller then fills under its own lock) where building twice would show.
+func (tu *TranslationUnit) Memo(key any, build func() any) any {
+	if v, ok := tu.memo.Load(key); ok {
+		return v
+	}
+	v, _ := tu.memo.LoadOrStore(key, build())
+	return v
 }
 
 // Pos returns the start of the first declaration.

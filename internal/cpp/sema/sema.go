@@ -8,6 +8,9 @@ package sema
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"sync"
 
 	"repro/internal/cpp/ast"
 	"repro/internal/obs"
@@ -148,7 +151,8 @@ func (s *Symbol) findOrAddScope(name string, kind SymKind, d ast.Decl, file stri
 	return c
 }
 
-// Table is the program-wide symbol table.
+// Table is the program-wide symbol table. Build one with Of; it is
+// read-only once built and shared by every run that reads its trees.
 type Table struct {
 	Global *Symbol
 	// UsingNamespaces lists namespaces brought in via using-directives,
@@ -157,41 +161,70 @@ type Table struct {
 	// UsingDecls maps unqualified name -> qualified name from
 	// using-declarations, per file.
 	UsingDecls map[string]map[string]ast.QualifiedName
-	// Obs, when non-nil, records a span + declaration counter per
-	// AddUnit. The nil default is a zero-cost no-op.
-	Obs *obs.Obs
+
+	// classes indexes class symbols by the files of their definitions
+	// (see ClassesDefinedIn), built on first use.
+	classesOnce sync.Once
+	classes     map[string][]classAt
 }
 
-// NewTable returns an empty table.
-func NewTable() *Table {
-	return &Table{
+// memoKey keys a tree's symbol-table slot (see ast.TranslationUnit.Memo).
+type memoKey struct{}
+
+// slot holds the tables memoized on one tree: the tree's own table, and
+// the merged table of the last multi-source run the tree came first in,
+// with the other trees of that run.
+type slot struct {
+	mu     sync.Mutex
+	own    *Table
+	others []*ast.TranslationUnit
+	merged *Table
+}
+
+// Of returns the symbol table of trees, merged in order: every tree's
+// declarations added to one table, so a later tree's out-of-line
+// definitions resolve against the earlier trees. The table rides on
+// trees[0] and is built once per tree: a single tree's table is kept for
+// good, and a multi-source table is kept in one slot that names the
+// other trees by pointer, which a run over a different set of trees
+// replaces. Building records a "sema" span per tree and the sema.units
+// and sema.decls counters on o; a memoized table records nothing. The
+// table is shared: callers must treat it as read-only.
+func Of(o *obs.Obs, trees ...*ast.TranslationUnit) *Table {
+	s := trees[0].Memo(memoKey{}, func() any { return new(slot) }).(*slot)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(trees) == 1 {
+		if s.own == nil {
+			s.own = buildTable(o, trees)
+		}
+		return s.own
+	}
+	if s.merged == nil || !slices.Equal(s.others, trees[1:]) {
+		s.others = slices.Clone(trees[1:])
+		s.merged = buildTable(o, trees)
+	}
+	return s.merged
+}
+
+// buildTable adds every tree's declarations to a new table.
+func buildTable(o *obs.Obs, trees []*ast.TranslationUnit) *Table {
+	t := &Table{
 		Global:          &Symbol{Name: "", Kind: NamespaceSym},
 		UsingNamespaces: map[string][]string{},
 		UsingDecls:      map[string]map[string]ast.QualifiedName{},
 	}
-}
-
-// Build constructs a symbol table from the given translation units.
-func Build(tus ...*ast.TranslationUnit) *Table {
-	t := NewTable()
-	for _, tu := range tus {
+	for _, tu := range trees {
+		sp := o.Start("sema")
+		sp.SetInt("decls", int64(len(tu.Decls)))
+		o.Counter("sema.units").Add(1)
+		o.Counter("sema.decls").Add(uint64(len(tu.Decls)))
 		for _, d := range tu.Decls {
 			t.addDecl(t.Global, d)
 		}
+		sp.End()
 	}
 	return t
-}
-
-// AddUnit merges one more translation unit into the table.
-func (t *Table) AddUnit(tu *ast.TranslationUnit) {
-	sp := t.Obs.Start("sema")
-	sp.SetInt("decls", int64(len(tu.Decls)))
-	defer sp.End()
-	t.Obs.Counter("sema.units").Add(1)
-	t.Obs.Counter("sema.decls").Add(uint64(len(tu.Decls)))
-	for _, d := range tu.Decls {
-		t.addDecl(t.Global, d)
-	}
 }
 
 func (t *Table) addDecl(scope *Symbol, d ast.Decl) {
@@ -532,6 +565,58 @@ func parseQualified(s string) ast.QualifiedName {
 // the case Header Substitution cannot forward declare (§3.2.1).
 func (s *Symbol) IsNested() bool {
 	return s.Kind == ClassSym && s.Parent != nil && s.Parent.Kind == ClassSym
+}
+
+// classAt is one class symbol and its position in the table's walk.
+type classAt struct {
+	pos int
+	sym *Symbol
+}
+
+// ClassesDefinedIn returns the class symbols with a definition in one of
+// files, in walk order: namespaces and classes depth first, children in
+// declaration order. The index behind it is built once per table.
+func (t *Table) ClassesDefinedIn(files map[string]bool) []*Symbol {
+	t.classesOnce.Do(t.indexClasses)
+	var hits []classAt
+	for f := range files {
+		hits = append(hits, t.classes[f]...)
+	}
+	sort.Slice(hits, func(i, j int) bool { return hits[i].pos < hits[j].pos })
+	out := make([]*Symbol, 0, len(hits))
+	for i, h := range hits {
+		if i == 0 || h.pos != hits[i-1].pos {
+			out = append(out, h.sym)
+		}
+	}
+	return out
+}
+
+// indexClasses records every class symbol under the file of each of its
+// defining declarations, once per file.
+func (t *Table) indexClasses() {
+	t.classes = map[string][]classAt{}
+	pos := 0
+	var walk func(*Symbol)
+	walk = func(s *Symbol) {
+		s.EachChild(func(c *Symbol) {
+			if c.Kind == ClassSym {
+				for _, d := range c.Decls {
+					if cd, ok := d.(*ast.ClassDecl); ok && cd.IsDefinition {
+						f := cd.Pos().FileName()
+						if l := t.classes[f]; len(l) == 0 || l[len(l)-1].sym != c {
+							t.classes[f] = append(l, classAt{pos, c})
+						}
+					}
+				}
+				pos++
+			}
+			if c.Kind == NamespaceSym || c.Kind == ClassSym {
+				walk(c)
+			}
+		})
+	}
+	walk(t.Global)
 }
 
 // Dump renders the table for debugging.

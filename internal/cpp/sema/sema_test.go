@@ -9,11 +9,11 @@ import (
 	"repro/internal/cpp/ast"
 	"repro/internal/cpp/lexer"
 	"repro/internal/cpp/parser"
+	"repro/internal/obs"
 )
 
 func build(t *testing.T, files map[string]string) *Table {
 	t.Helper()
-	tab := NewTable()
 	// Sorted order: declarations must be seen before out-of-line
 	// definitions, as in C++, and map iteration order is random.
 	names := make([]string, 0, len(files))
@@ -21,6 +21,7 @@ func build(t *testing.T, files map[string]string) *Table {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var trees []*ast.TranslationUnit
 	for _, name := range names {
 		src := files[name]
 		toks, err := lexer.Tokenize(name, src)
@@ -31,9 +32,9 @@ func build(t *testing.T, files map[string]string) *Table {
 		if err != nil {
 			t.Fatalf("parse %s: %v", name, err)
 		}
-		tab.AddUnit(tu)
+		trees = append(trees, tu)
 	}
-	return tab
+	return Of(nil, trees...)
 }
 
 const kokkosHeader = `
@@ -340,5 +341,103 @@ func TestUnderlyingTypeBuiltinAlias(t *testing.T) {
 	u := tab.UnderlyingType(ty, "h.hpp")
 	if u == nil {
 		t.Fatal("nil underlying")
+	}
+}
+
+func parseFile(t *testing.T, name, src string) *ast.TranslationUnit {
+	t.Helper()
+	toks, err := lexer.Tokenize(name, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tu, err := parser.New(toks).Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tu
+}
+
+// TestOfMemoizesPerTree checks that a tree's own table is built once,
+// and that the multi-source slot on the first tree keeps the table of
+// the last set of trees only.
+func TestOfMemoizesPerTree(t *testing.T) {
+	reg := obs.NewRegistry()
+	o := obs.New(nil, reg)
+	units := reg.Counter("sema.units")
+	a := parseFile(t, "a.hpp", "namespace n { class A {}; }")
+	b := parseFile(t, "b.cpp", "namespace n { class B {}; }")
+	c := parseFile(t, "c.cpp", "namespace n { class C {}; }")
+	for _, step := range []struct {
+		name  string
+		trees []*ast.TranslationUnit
+		built uint64
+		want  []string
+	}{
+		{"a", []*ast.TranslationUnit{a}, 1, []string{"A"}},
+		{"a again", []*ast.TranslationUnit{a}, 0, []string{"A"}},
+		{"a+b", []*ast.TranslationUnit{a, b}, 2, []string{"A", "B"}},
+		{"a+b again", []*ast.TranslationUnit{a, b}, 0, []string{"A", "B"}},
+		{"a+c", []*ast.TranslationUnit{a, c}, 2, []string{"A", "C"}},
+		{"a+b after a+c", []*ast.TranslationUnit{a, b}, 2, []string{"A", "B"}},
+		{"a after a+b", []*ast.TranslationUnit{a}, 0, []string{"A"}},
+	} {
+		before := units.Value()
+		tab := Of(o, step.trees...)
+		if got := units.Value() - before; got != step.built {
+			t.Errorf("%s: built over %d trees, want %d", step.name, got, step.built)
+		}
+		var names []string
+		tab.Global.FirstChild("n").EachChild(func(s *Symbol) { names = append(names, s.Name) })
+		if strings.Join(names, ",") != strings.Join(step.want, ",") {
+			t.Errorf("%s: table holds %v, want %v", step.name, names, step.want)
+		}
+	}
+	if Of(nil, a) != Of(nil, a) {
+		t.Error("a tree's own table is not shared")
+	}
+}
+
+// TestClassesDefinedInMatchesWalk compares the class index with a walk
+// of every class symbol of the table, keeping those with a definition
+// in the files, in walk order.
+func TestClassesDefinedInMatchesWalk(t *testing.T) {
+	tab := build(t, map[string]string{
+		"Kokkos_Core.hpp": kokkosHeader,
+		"main.cpp": `namespace Kokkos { class OpenMP {}; struct LayoutRight { struct Inner {}; }; }
+class Local {}; class Local2;
+namespace user { class Widget { class Part {}; }; }`,
+		"other.cpp": "namespace user { class Widget; class Gadget {}; }\nclass Local2 {};",
+	})
+	var walk func(s *Symbol, files map[string]bool, out *[]string)
+	walk = func(s *Symbol, files map[string]bool, out *[]string) {
+		s.EachChild(func(c *Symbol) {
+			if c.Kind == ClassSym {
+				for _, d := range c.Decls {
+					if cd, ok := d.(*ast.ClassDecl); ok && cd.IsDefinition && files[cd.Pos().FileName()] {
+						*out = append(*out, c.Qualified())
+						break
+					}
+				}
+			}
+			if c.Kind == NamespaceSym || c.Kind == ClassSym {
+				walk(c, files, out)
+			}
+		})
+	}
+	for _, files := range []map[string]bool{
+		{"main.cpp": true},
+		{"other.cpp": true},
+		{"main.cpp": true, "other.cpp": true},
+		{"Kokkos_Core.hpp": true, "main.cpp": true},
+		{"none.cpp": true},
+	} {
+		var want, got []string
+		walk(tab.Global, files, &want)
+		for _, s := range tab.ClassesDefinedIn(files) {
+			got = append(got, s.Qualified())
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("files %v: index gives %v, walk gives %v", files, got, want)
+		}
 	}
 }

@@ -83,8 +83,7 @@ func Analyze(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("iwyu: %v", err)
 	}
 	tu, deps := unit.Unit(nil), unit.Result.DirectDeps
-	table := sema.NewTable()
-	table.AddUnit(tu)
+	table := sema.Of(nil, tu)
 
 	// Ownership: every file reachable from a direct include belongs to
 	// that include (first wins for shared transitive headers).

@@ -59,13 +59,16 @@ func Build(fs *vfs.FS, header string, searchPaths []string, defines map[string]s
 	for _, inc := range res.Includes {
 		p.Files[inc] = true
 	}
-	p.size = serializedSize(res.Tokens)
+	p.size = unit.Memo(sizeKey{}, func() any { return serializedSize(res.Tokens) }).(int)
 	o.Counter("pch.builds").Add(1)
 	o.Observe("pch.blob_bytes", float64(p.size))
 	sp.SetInt("blob_bytes", int64(p.size))
 	sp.SetInt("files", int64(len(p.Files)))
 	return p, nil
 }
+
+// sizeKey keys a unit's serialized size (see buildcache.TU.Memo).
+type sizeKey struct{}
 
 // serializedSize is len(Serialize(toks)): the PCH's modeled on-disk size,
 // which is all a compile reads of the format.

@@ -401,8 +401,7 @@ func verifyTU(opts Options, staged *vfs.FS, info *tuInfo) error {
 			return fmt.Errorf("new missing include %q", m)
 		}
 	}
-	table := sema.NewTable()
-	table.AddUnit(unit.Unit(opts.Obs))
+	table := sema.Of(nil, unit.Unit(opts.Obs))
 	for _, ref := range info.refs {
 		r := table.Lookup(ref.q, ref.from)
 		if r == nil {

@@ -262,8 +262,7 @@ func (g *graph) analyzeHeader(opts Options) (map[string]int, error) {
 	}
 
 	tu := unit.Unit(opts.Obs)
-	table := sema.NewTable()
-	table.AddUnit(tu)
+	table := sema.Of(nil, tu)
 
 	hdrID := token.InternFile(g.hdrPath)
 	note := func(q ast.QualifiedName, nodeOff int) {
@@ -509,8 +508,7 @@ func (g *graph) analyzeTU(opts Options, root string, owner map[string]int) *tuIn
 	}
 
 	tu := unit.Unit(opts.Obs)
-	table := sema.NewTable()
-	table.AddUnit(tu)
+	table := sema.Of(nil, tu)
 
 	closureList := make([]string, 0, len(closure))
 	for f := range closure {

@@ -64,9 +64,34 @@ func (fs *FS) Overlay() *FS {
 	}
 }
 
-// Clean normalizes a path to the canonical internal form.
+// Clean normalizes a path to the canonical internal form: relative,
+// slash-separated, with no empty, "." or ".." element. A path already in
+// that form (every path the build cache records is) comes back unchanged
+// without allocating.
 func Clean(p string) string {
+	if isClean(p) {
+		return p
+	}
 	return strings.TrimPrefix(path.Clean("/"+p), "/")
+}
+
+// isClean reports whether p is "" or a relative path whose elements are
+// all non-empty and neither "." nor "..".
+func isClean(p string) bool {
+	for start := 0; start <= len(p); {
+		end := strings.IndexByte(p[start:], '/')
+		if end < 0 {
+			end = len(p)
+		} else {
+			end += start
+		}
+		switch p[start:end] {
+		case "", ".", "..":
+			return p == ""
+		}
+		start = end + 1
+	}
+	return true
 }
 
 // Write creates or replaces the file at p with contents.
@@ -142,7 +167,11 @@ func (fs *FS) Remove(p string) {
 // an overlay, hashes of base files memoize in the base, so every session
 // sharing a corpus shares its hash cache too.
 func (fs *FS) ContentHash(p string) (string, bool) {
-	p = Clean(p)
+	return fs.contentHash(Clean(p))
+}
+
+// contentHash is ContentHash for a cleaned path.
+func (fs *FS) contentHash(p string) (string, bool) {
 	fs.mu.RLock()
 	if h, ok := fs.hashes[p]; ok {
 		fs.mu.RUnlock()
@@ -156,7 +185,7 @@ func (fs *FS) ContentHash(p string) (string, bool) {
 		if tomb || base == nil {
 			return "", false
 		}
-		return base.ContentHash(p)
+		return base.contentHash(p)
 	}
 	sum := sha256.Sum256([]byte(c))
 	h := hex.EncodeToString(sum[:])

@@ -2,6 +2,8 @@ package vfs
 
 import (
 	"fmt"
+	"path"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -100,6 +102,43 @@ func TestPropertyCleanIdempotent(t *testing.T) {
 	f := func(p string) bool { return Clean(Clean(p)) == Clean(p) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCleanMatchesReference compares Clean with the expression it
+// short-cuts, over every path of up to four elements drawn from the
+// spellings that need cleaning (empty, ".", "..") and plain names, with
+// and without leading and trailing slashes. Already-canonical paths must
+// come back without allocating.
+func TestCleanMatchesReference(t *testing.T) {
+	reference := func(p string) string { return strings.TrimPrefix(path.Clean("/"+p), "/") }
+	elems := []string{"", ".", "..", "a", "bc", ".d", "e.."}
+	paths := []string{""}
+	for n := 1; n <= 4; n++ {
+		var next []string
+		for _, p := range paths {
+			for _, e := range elems {
+				if n == 1 {
+					next = append(next, e)
+				} else {
+					next = append(next, p+"/"+e)
+				}
+			}
+		}
+		paths = next
+		for _, p := range paths {
+			for _, q := range []string{p, "/" + p, p + "/", "/" + p + "/"} {
+				got, want := Clean(q), reference(q)
+				if got != want {
+					t.Fatalf("Clean(%q) = %q, want %q", q, got, want)
+				}
+				if got == q {
+					if allocs := testing.AllocsPerRun(10, func() { Clean(q) }); allocs != 0 {
+						t.Fatalf("Clean(%q) allocates %v times on a canonical path", q, allocs)
+					}
+				}
+			}
+		}
 	}
 }
 
