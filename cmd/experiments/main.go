@@ -8,7 +8,7 @@
 //
 //	experiments [-table2] [-table3] [-fig7] [-fig8] [-fig9] [-fig10]
 //	            [-subject NAME] [-results DIR] [-j N] [-cache=false]
-//	            [-benchjson] [-trace FILE] [-metrics FILE|-]
+//	            [-trace FILE] [-metrics FILE|-]
 //	            [-attribution FILE] [-pprof ADDR] [-v]
 //
 // With no selection flags, everything runs. Subjects fan out over -j
@@ -54,8 +54,6 @@ func main() {
 		results     = flag.String("results", "", "directory to write CSV/trace results into")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "parallel subject jobs")
 		useCache    = flag.Bool("cache", true, "memoize lexing/preprocessing/parsing across subjects")
-		benchjson   = flag.String("benchjson", "", "measure the harness cold-vs-warm (plus frontend microbenchmarks) and write the JSON report to this file (e.g. results/bench_frontend.json)")
-		benchbase   = flag.Duration("benchbaseline", 0, "pre-pass parallel-cold wall time to record in the -benchjson report (e.g. 85.2s), for the speedup-vs-baseline field")
 		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 		metricsOut  = flag.String("metrics", "", "write the metrics snapshot to this file, or - for stdout")
 		attribution = flag.String("attribution", "", "write the compile-cost attribution report (JSON) to this file")
@@ -101,46 +99,6 @@ func main() {
 	if *useCache {
 		bc = buildcache.Default()
 		bc.AttachMetrics(o)
-	}
-
-	if *benchjson != "" {
-		rep, err := experiments.BenchHarness(*jobs)
-		if err != nil {
-			fail("benchjson", err)
-		}
-		if *benchbase > 0 {
-			rep.BaselineColdNs = benchbase.Nanoseconds()
-			if rep.ParallelColdNs > 0 {
-				rep.SpeedupVsBaseline = float64(rep.BaselineColdNs) / float64(rep.ParallelColdNs)
-			}
-		}
-		blob, err := rep.JSON()
-		if err != nil {
-			fail("benchjson", err)
-		}
-		if err := os.MkdirAll(filepath.Dir(*benchjson), 0o755); err != nil {
-			fail("benchjson", err)
-		}
-		if err := os.WriteFile(*benchjson, append(blob, '\n'), 0o644); err != nil {
-			fail("benchjson", err)
-		}
-		log.Info("harness bench done", "phase", "benchjson",
-			"cold_sequential_s", fmt.Sprintf("%.1f", float64(rep.SequentialColdNs)/1e9),
-			"cold_parallel_s", fmt.Sprintf("%.1f", float64(rep.ParallelColdNs)/1e9),
-			"warm_parallel_s", fmt.Sprintf("%.1f", float64(rep.ParallelWarmNs)/1e9),
-			"jobs", rep.Jobs, "speedup", fmt.Sprintf("%.1f", rep.Speedup), "report", *benchjson)
-		if rep.BaselineColdNs > 0 {
-			log.Info("frontend speed pass", "phase", "benchjson",
-				"cold_parallel_s", fmt.Sprintf("%.1f", float64(rep.ParallelColdNs)/1e9),
-				"baseline_s", fmt.Sprintf("%.1f", float64(rep.BaselineColdNs)/1e9),
-				"speedup_vs_baseline", fmt.Sprintf("%.2f", rep.SpeedupVsBaseline))
-		}
-		for _, m := range rep.Frontend {
-			log.Info("frontend bench", "phase", "benchjson", "name", m.Name,
-				"ns_per_op", m.NsPerOp, "mb_per_s", fmt.Sprintf("%.1f", m.MBPerS),
-				"allocs_per_op", m.AllocsPerOp)
-		}
-		return
 	}
 
 	all := !*table2 && !*table3 && !*fig7 && !*fig8 && !*fig9 && !*fig10 && !*ext && !*gcc

@@ -1,20 +1,19 @@
-// Command yallabench is the regression observatory: one command that
-// runs the repository's benchmark suite — the edit-stream replay, the
-// daemon load generator, the multi-node farm load generator, and the
-// frontend micro-benchmarks — and folds every result into a versioned
-// trajectory file. Successive runs build a
-// performance history; -compare diffs the current run against a
+// Command yallabench is the regression observatory: it runs the
+// edit-stream replay and folds its per-class latencies and virtual
+// compile costs into a versioned trajectory file. Successive runs build
+// a performance history; -compare diffs the current run against a
 // committed baseline benchstat-style and exits nonzero when a gated
 // metric (p95 latencies by default) regresses beyond the tolerance,
-// which is how CI catches performance regressions before merge.
+// which is how CI catches performance regressions before merge. Wall
+// time end to end is e2ebench's job, and stage micro-benchmarks are
+// `go test -bench`.
 //
 // Usage:
 //
-//	yallabench [-subjects a,b,...] [-iters N] [-clients N]
+//	yallabench [-subjects a,b,...] [-iters N]
 //	           [-replay-out results/bench_replay.json]
 //	           [-trajectory results/bench_trajectory.json]
-//	           [-label text] [-skip-loadgen] [-skip-frontend] [-skip-farm]
-//	           [-farm-nodes 3] [-farm-clients 24]
+//	           [-label text]
 //	           [-compare results/bench_baseline.json]
 //	           [-tolerance 0.10] [-gate p95]
 //	           [-save-baseline path]
@@ -29,9 +28,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/daemon"
-	"repro/internal/experiments"
-	"repro/internal/farm"
 	"repro/internal/obs"
 	"repro/internal/replay"
 )
@@ -40,16 +36,9 @@ func main() {
 	var (
 		subjects  = flag.String("subjects", "", "comma-separated subjects (default: whole corpus)")
 		iters     = flag.Int("iters", 5, "replay edits per class per subject")
-		clients   = flag.Int("clients", 4, "loadgen concurrent clients")
-		lgIters   = flag.Int("loadgen-iters", 10, "loadgen iterations per client")
 		replayOut = flag.String("replay-out", "results/bench_replay.json", "replay report path")
 		trajPath  = flag.String("trajectory", "results/bench_trajectory.json", "trajectory file to append to")
 		label     = flag.String("label", "", "label for this trajectory entry")
-		skipLG    = flag.Bool("skip-loadgen", false, "skip the daemon load generator")
-		skipFE    = flag.Bool("skip-frontend", false, "skip the frontend micro-benchmarks")
-		skipFarm  = flag.Bool("skip-farm", false, "skip the multi-node farm load generator")
-		farmNodes = flag.Int("farm-nodes", 3, "farm loadgen fleet size")
-		farmCl    = flag.Int("farm-clients", 24, "farm loadgen concurrent clients")
 		comparePt = flag.String("compare", "", "baseline to compare against (entry or trajectory file); exit 1 on regression")
 		tolerance = flag.Float64("tolerance", 0.10, "allowed relative growth on gated metrics")
 		gate      = flag.String("gate", "p95", "substring selecting gated metrics")
@@ -64,17 +53,10 @@ func main() {
 		subjectList = strings.Split(*subjects, ",")
 	}
 	entry, err := measure(measureConfig{
-		Subjects:     subjectList,
-		ReplayIters:  *iters,
-		Clients:      *clients,
-		LoadgenIters: *lgIters,
-		SkipLoadgen:  *skipLG,
-		SkipFrontend: *skipFE,
-		SkipFarm:     *skipFarm,
-		FarmNodes:    *farmNodes,
-		FarmClients:  *farmCl,
-		ReplayOut:    *replayOut,
-		Log:          log,
+		Subjects:    subjectList,
+		ReplayIters: *iters,
+		ReplayOut:   *replayOut,
+		Log:         log,
 	})
 	if err != nil {
 		fail("%v", err)
@@ -132,16 +114,9 @@ func fail(format string, args ...any) {
 // measureConfig parameterizes one observatory run; tests shrink it and
 // inject the synthetic delay.
 type measureConfig struct {
-	Subjects     []string
-	ReplayIters  int
-	Clients      int
-	LoadgenIters int
-	SkipLoadgen  bool
-	SkipFrontend bool
-	SkipFarm     bool
-	FarmNodes    int
-	FarmClients  int
-	ReplayOut    string
+	Subjects    []string
+	ReplayIters int
+	ReplayOut   string
 	// InjectDelay is threaded to the replay harness (test-only).
 	InjectDelay time.Duration
 	Log         interface {
@@ -149,7 +124,7 @@ type measureConfig struct {
 	}
 }
 
-// measure runs the suite and flattens everything into one bench.Entry.
+// measure runs the replay and flattens its report into one bench.Entry.
 func measure(cfg measureConfig) (*bench.Entry, error) {
 	entry := &bench.Entry{Metrics: map[string]float64{}, Info: map[string]float64{}}
 
@@ -196,71 +171,6 @@ func measure(cfg measureConfig) (*bench.Entry, error) {
 		cfg.Log.Info("replay done", "subjects", rep.Subjects,
 			"over_invalidation_x", fmt.Sprintf("%.1f", rep.OverInvalidationX),
 			"early_cutoff_virtual_x", fmt.Sprintf("%.1f", rep.EarlyCutoffVirtualX))
-	}
-
-	if !cfg.SkipLoadgen {
-		lr, err := daemon.Loadgen(daemon.LoadgenConfig{
-			Clients:  cfg.Clients,
-			Iters:    cfg.LoadgenIters,
-			Subjects: cfg.Subjects,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: %v", err)
-		}
-		entry.Metrics["daemon/warm_iter/p50_ns"] = float64(lr.WarmIter.P50Ns)
-		entry.Metrics["daemon/warm_iter/p95_ns"] = float64(lr.WarmIter.P95Ns)
-		entry.Metrics["daemon/warm_iter/mean_ns"] = float64(lr.WarmIter.MeanNs)
-		entry.Metrics["daemon/first_iter/p95_ns"] = float64(lr.FirstIter.P95Ns)
-		entry.Info["daemon/warm_speedup"] = lr.WarmSpeedup
-		entry.Info["daemon/throughput_rps"] = lr.ThroughputRPS
-		if cfg.Log != nil {
-			cfg.Log.Info("loadgen done", "warm_speedup", fmt.Sprintf("%.1f", lr.WarmSpeedup))
-		}
-	}
-
-	if !cfg.SkipFarm {
-		fr, err := farm.Loadgen(farm.LoadgenConfig{
-			Nodes:    cfg.FarmNodes,
-			Clients:  cfg.FarmClients,
-			Iters:    2,
-			Subjects: cfg.Subjects,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("farm loadgen: %v", err)
-		}
-		entry.Metrics["farm/warm_iter/p50_ns"] = float64(fr.WarmIter.P50Ns)
-		entry.Metrics["farm/warm_iter/p95_ns"] = float64(fr.WarmIter.P95Ns)
-		entry.Metrics["farm/cold_fan_in/p95_ns"] = float64(fr.ColdFanIn.P95Ns)
-		// Correctness invariants travel as info (not gated by tolerance):
-		// exactly-once dedup and byte-identity must simply hold.
-		entry.Info["farm/fleet_compiles"] = float64(fr.FleetCompiles)
-		entry.Info["farm/baseline_compiles"] = float64(fr.BaselineCompiles)
-		entry.Info["farm/l2_speedup"] = fr.L2Speedup
-		if !fr.ExactlyOnce {
-			return nil, fmt.Errorf("farm loadgen: fleet compiled %d TUs, solo baseline %d — dedup broken",
-				fr.FleetCompiles, fr.BaselineCompiles)
-		}
-		if !fr.Identical {
-			return nil, fmt.Errorf("farm loadgen: farm output diverged from the one-shot path")
-		}
-		if cfg.Log != nil {
-			cfg.Log.Info("farm loadgen done", "nodes", fr.Nodes, "clients", fr.Clients,
-				"fleet_compiles", fr.FleetCompiles, "l2_speedup", fmt.Sprintf("%.1f", fr.L2Speedup))
-		}
-	}
-
-	if !cfg.SkipFrontend {
-		micros, err := experiments.BenchFrontend()
-		if err != nil {
-			return nil, fmt.Errorf("frontend bench: %v", err)
-		}
-		for _, m := range micros {
-			entry.Metrics["frontend/"+m.Name+"/ns_per_op"] = float64(m.NsPerOp)
-			entry.Info["frontend/"+m.Name+"/mb_per_s"] = m.MBPerS
-		}
-		if cfg.Log != nil {
-			cfg.Log.Info("frontend micros done", "count", len(micros))
-		}
 	}
 	return entry, nil
 }

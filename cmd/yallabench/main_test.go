@@ -10,24 +10,33 @@ import (
 	"repro/internal/bench"
 )
 
-// smallCfg is a fast observatory run: one subject, two edits per class,
-// no loadgen or frontend micros. The injected base delay dominates the
-// timed windows so real scheduling noise cannot trip the gate.
+// smallCfg is a fast observatory run: one subject, two edits per class.
+// The injected base delay dominates the comment, body and mixed timed
+// windows so real scheduling noise cannot trip the gate on them.
 func smallCfg(out string, delay time.Duration) measureConfig {
 	return measureConfig{
-		Subjects:     []string{"archiver"},
-		ReplayIters:  2,
-		SkipLoadgen:  true,
-		SkipFrontend: true,
-		SkipFarm:     true,
-		ReplayOut:    out,
-		InjectDelay:  delay,
+		Subjects:    []string{"archiver"},
+		ReplayIters: 2,
+		ReplayOut:   out,
+		InjectDelay: delay,
+	}
+}
+
+// logInterfaceP95 prints the interface class's wall p95 delta. That
+// class pays a real re-Prepare per edit, which can swamp the injected
+// delay and moves with the machine's load, so no half asserts on it.
+func logInterfaceP95(t *testing.T, res *bench.Result) {
+	t.Helper()
+	for _, d := range res.Deltas {
+		if d.Metric == "replay/interface/p95_ns" {
+			t.Logf("%s: %.0f -> %.0f (%+.1f%%, not asserted)", d.Metric, d.Base, d.Cur, d.Pct)
+		}
 	}
 }
 
 // TestCompareGateDetectsSlowdown is the observatory's acceptance test:
-// an unmodified re-run passes the 10% p95 gate, a synthetic 2× slowdown
-// (injected sleep inside every timed window) fails it.
+// an unmodified re-run passes the gates, a synthetic 2× slowdown
+// (injected sleep inside every timed window) fails the 10% p95 gate.
 func TestCompareGateDetectsSlowdown(t *testing.T) {
 	const baseDelay = 40 * time.Millisecond
 
@@ -39,8 +48,25 @@ func TestCompareGateDetectsSlowdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := bench.Compare(*baseline, *same, bench.Opts{}); !res.OK() {
-		t.Errorf("unmodified run flagged as regression:\n%s", res.Table())
+	// The unmodified re-run asserts only what machine load cannot move:
+	// CI's virtual gate reads exactly +0.0%, and the wall p95s the
+	// injected delay dominates stay within the 10% gate.
+	virt := bench.Compare(*baseline, *same, bench.Opts{Gate: "virtual"})
+	if gatedCount(virt) == 0 {
+		t.Fatalf("virtual gate selected no metric:\n%s", virt.Table())
+	}
+	for _, d := range virt.Deltas {
+		if d.Gated && d.Cur != d.Base {
+			t.Errorf("virtual metric %s moved on an unmodified run: %v -> %v", d.Metric, d.Base, d.Cur)
+		}
+	}
+	wall := bench.Compare(*baseline, *same, bench.Opts{})
+	logInterfaceP95(t, wall)
+	flagged := strings.Join(wall.Regressions(), " ")
+	for _, class := range []string{"comment", "body", "mixed"} {
+		if name := "replay/" + class + "/p95_ns"; strings.Contains(flagged, name) {
+			t.Errorf("unmodified run flagged %s as a regression:\n%s", name, wall.Table())
+		}
 	}
 
 	slow, err := measure(smallCfg("", 2*baseDelay))
@@ -48,6 +74,7 @@ func TestCompareGateDetectsSlowdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := bench.Compare(*baseline, *slow, bench.Opts{})
+	logInterfaceP95(t, res)
 	if res.OK() {
 		t.Fatalf("2x slowdown passed the gate:\n%s", res.Table())
 	}

@@ -22,12 +22,6 @@
 // (the flight recorder's ring of recently sealed request lanes).
 // SIGINT/SIGTERM drain gracefully: /healthz turns 503 and in-flight
 // requests finish before the process exits.
-//
-// Load-generator mode benchmarks the daemon against the cold one-shot
-// path and writes a JSON report:
-//
-//	yallad -loadgen [-clients 8] [-iters 20] [-subjects a,b,...]
-//	       [-cold 3] [-out results/bench_daemon.json]
 package main
 
 import (
@@ -38,8 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -59,21 +51,8 @@ func main() {
 
 		nodeID    = flag.String("node-id", "", "farm node identity reported on /healthz and the dashboard")
 		remoteURL = flag.String("remote-cache", "", "farm cache server URL to attach as the build cache's L2 tier")
-
-		loadgen  = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		clients  = flag.Int("clients", 8, "loadgen: concurrent clients")
-		iters    = flag.Int("iters", 20, "loadgen: edit+rebuild iterations per client")
-		subjects = flag.String("subjects", "", "loadgen: comma-separated subject names (default: one per library)")
-		mode     = flag.String("mode", "yalla", "loadgen: build mode for every session")
-		cold     = flag.Int("cold", 3, "loadgen: cold one-shot baseline iterations")
-		out      = flag.String("out", "results/bench_daemon.json", "loadgen: report path")
 	)
 	flag.Parse()
-
-	if *loadgen {
-		runLoadgen(*clients, *iters, *subjects, *mode, *cold, *workers, *out)
-		return
-	}
 
 	log := obs.StderrLogger(*verbose).With("run", obs.NewRunID())
 	cfg := daemon.Config{
@@ -100,42 +79,6 @@ func main() {
 	if err := srv.Run(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fail("%v", err)
 	}
-}
-
-func runLoadgen(clients, iters int, subjects, mode string, cold, workers int, out string) {
-	cfg := daemon.LoadgenConfig{
-		Clients:   clients,
-		Iters:     iters,
-		Mode:      mode,
-		ColdIters: cold,
-		Workers:   workers,
-		Progress: func(client int) {
-			fmt.Fprintf(os.Stderr, "client %d done\n", client)
-		},
-	}
-	if subjects != "" {
-		cfg.Subjects = strings.Split(subjects, ",")
-	}
-	rep, err := daemon.Loadgen(cfg)
-	if err != nil {
-		fail("loadgen: %v", err)
-	}
-	blob, err := rep.JSON()
-	if err != nil {
-		fail("loadgen: %v", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
-		fail("loadgen: %v", err)
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		fail("loadgen: %v", err)
-	}
-	fmt.Printf("%d clients x %d iters on %s\n", rep.Clients, rep.Iters, strings.Join(rep.Subjects, ", "))
-	fmt.Printf("  warm daemon iteration: mean %.2fms  p95 %.2fms\n",
-		float64(rep.WarmIter.MeanNs)/1e6, float64(rep.WarmIter.P95Ns)/1e6)
-	fmt.Printf("  cold one-shot run:     mean %.2fms\n", float64(rep.ColdCLI.MeanNs)/1e6)
-	fmt.Printf("  warm speedup: %.1fx   identical outputs: %v\n", rep.WarmSpeedup, rep.Identical)
-	fmt.Printf("report written to %s\n", out)
 }
 
 func fail(format string, args ...any) {

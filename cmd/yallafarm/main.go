@@ -6,7 +6,7 @@
 // cache's singleflight across processes — and farm outputs are
 // byte-identical to a single-node yallad and to the one-shot CLI.
 //
-// Serve mode starts an in-process fleet and blocks until SIGINT/SIGTERM:
+// It starts an in-process fleet and blocks until SIGINT/SIGTERM:
 //
 //	yallafarm [-nodes 3] [-workers 4] [-addr 127.0.0.1:7800]
 //	          [-cache-addr 127.0.0.1:7801] [-cache-max-bytes N]
@@ -14,24 +14,14 @@
 // Clients point at the router address exactly as they would at a single
 // yallad; GET /healthz and GET /debug/dash on the router show per-node
 // health, session counts, and remote-cache reachability.
-//
-// Loadgen mode benchmarks the fleet — cold fan-in dedup, steady-state
-// SLOs, per-tier latency — and folds a "farm" section into the daemon
-// benchmark report:
-//
-//	yallafarm -loadgen [-nodes 3] [-clients 100] [-iters 5]
-//	          [-subjects a,b,...] [-out results/bench_daemon.json]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 
 	"repro/internal/farm"
@@ -44,20 +34,8 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:7800", "router (front door) listen address")
 		cacheAd  = flag.String("cache-addr", "127.0.0.1:7801", "cache server listen address")
 		maxBytes = flag.Int("cache-max-bytes", 0, "cache server byte cap (0 = default 256 MB)")
-
-		loadgen  = flag.Bool("loadgen", false, "run the farm load generator instead of serving")
-		clients  = flag.Int("clients", 100, "loadgen: concurrent clients")
-		iters    = flag.Int("iters", 5, "loadgen: warm edit+rebuild iterations per client")
-		subjects = flag.String("subjects", "", "loadgen: comma-separated subject names")
-		mode     = flag.String("mode", "yalla", "loadgen: build mode for every session")
-		out      = flag.String("out", "results/bench_daemon.json", "loadgen: report to merge the farm section into")
 	)
 	flag.Parse()
-
-	if *loadgen {
-		runLoadgen(*nodes, *clients, *iters, *workers, *subjects, *mode, *out)
-		return
-	}
 
 	f, err := farm.StartLocal(farm.LocalConfig{
 		Nodes:         *nodes,
@@ -80,70 +58,6 @@ func main() {
 	<-ctx.Done()
 	fmt.Println("draining fleet...")
 	f.Stop()
-}
-
-func runLoadgen(nodes, clients, iters, workers int, subjects, mode, out string) {
-	cfg := farm.LoadgenConfig{
-		Nodes:   nodes,
-		Clients: clients,
-		Iters:   iters,
-		Workers: workers,
-		Mode:    mode,
-		Progress: func(phase string) {
-			fmt.Fprintf(os.Stderr, "%s\n", phase)
-		},
-	}
-	if subjects != "" {
-		cfg.Subjects = strings.Split(subjects, ",")
-	}
-	rep, err := farm.Loadgen(cfg)
-	if err != nil {
-		fail("loadgen: %v", err)
-	}
-	if err := mergeFarmSection(out, rep); err != nil {
-		fail("loadgen: %v", err)
-	}
-
-	fmt.Printf("%d nodes x %d clients, cold fan-in on %s\n", rep.Nodes, rep.Clients, rep.Subjects[0])
-	fmt.Printf("  exactly-once: %v (%d compiles fleet-wide, solo baseline %d, %d lease grants, %d waits)\n",
-		rep.ExactlyOnce, rep.FleetCompiles, rep.BaselineCompiles, rep.ColdLeaseGrants, rep.ColdLeaseWaits)
-	fmt.Printf("  cold fan-in:  p50 %.1fms  p95 %.1fms  p99 %.1fms\n",
-		float64(rep.ColdFanIn.P50Ns)/1e6, float64(rep.ColdFanIn.P95Ns)/1e6, float64(rep.ColdFanIn.P99Ns)/1e6)
-	fmt.Printf("  warm iter:    p50 %.1fms  p95 %.1fms  p99 %.1fms\n",
-		float64(rep.WarmIter.P50Ns)/1e6, float64(rep.WarmIter.P95Ns)/1e6, float64(rep.WarmIter.P99Ns)/1e6)
-	if rep.L2Speedup > 0 {
-		fmt.Printf("  L2 hit vs recompile: %.1fx cheaper (l2 mean %.2fms, compile mean %.2fms)\n",
-			rep.L2Speedup, rep.TierL2.MeanMs, rep.TierCompile.MeanMs)
-	}
-	fmt.Printf("  identical outputs: %v\n", rep.Identical)
-	fmt.Printf("farm section merged into %s\n", out)
-	if !rep.ExactlyOnce || !rep.Identical {
-		fail("farm invariants violated (exactly_once=%v identical=%v)", rep.ExactlyOnce, rep.Identical)
-	}
-}
-
-// mergeFarmSection folds the farm report into the daemon benchmark
-// report as its "farm" key, preserving whatever yallad -loadgen wrote.
-func mergeFarmSection(path string, rep *farm.Report) error {
-	doc := map[string]json.RawMessage{}
-	if blob, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(blob, &doc); err != nil {
-			return fmt.Errorf("%s exists but is not a JSON object: %v", path, err)
-		}
-	}
-	section, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	doc["farm"] = section
-	blob, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
 func fail(format string, args ...any) {

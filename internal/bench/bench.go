@@ -1,7 +1,7 @@
 // Package bench is the regression observatory's data model: versioned
 // benchmark trajectories and benchstat-style comparisons. Every
-// yallabench run flattens its reports (replay classes, daemon loadgen,
-// frontend micros) into one Entry — a map of metric names to float64
+// yallabench run flattens its replay report (per-class wall latencies
+// and virtual costs) into one Entry — a map of metric names to float64
 // values — appended to results/bench_trajectory.json. Comparing two
 // entries yields a delta table; metrics matching the gate substring
 // (default "p95") that regress beyond the tolerance fail the run, which

@@ -57,7 +57,7 @@ import (
 // entries adopted from the remote tier — the two are disjoint, and
 // their sum is the process's cold-path traffic. Summing TUMisses
 // across a fleet therefore gives the fleet-wide compile count, which
-// is how the farm loadgen proves a cold miss compiled exactly once.
+// is how the farm's smoke test proves a cold miss compiled exactly once.
 type Stats struct {
 	TokenHits   uint64
 	TokenMisses uint64

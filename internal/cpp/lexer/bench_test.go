@@ -44,8 +44,8 @@ func lexFileSrc(tb testing.TB) string {
 }
 
 // BenchmarkLexFile lexes the corpus's largest header end to end; its
-// MB/s and allocs/op are the committed frontend hot-path record (see
-// results/bench_frontend.json).
+// MB/s and allocs/op are the frontend hot-path record (EXPERIMENTS.md
+// § "Frontend hot path"), and TestLexFileAllocsBudget holds the allocs.
 func BenchmarkLexFile(b *testing.B) {
 	src := lexFileSrc(b)
 	// Warm the global interner: the first lex of a file pays a one-time

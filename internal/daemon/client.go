@@ -12,8 +12,8 @@ import (
 	"repro/internal/check"
 )
 
-// Client is a typed HTTP client for the daemon API, used by the load
-// generator, the farm router, and tests; it exercises the same wire
+// Client is a typed HTTP client for the daemon API, used by the replay
+// and end-to-end benchmarks and by tests; it exercises the same wire
 // path a real editor integration would.
 type Client struct {
 	base string

@@ -189,8 +189,8 @@ func (s *Server) Run(ctx context.Context) error {
 	return s.Serve(ctx, ln)
 }
 
-// Serve is Run over an existing listener (tests and the load generator
-// pass a 127.0.0.1:0 listener).
+// Serve is Run over an existing listener (tests, the replay benchmark
+// and in-process fleets pass a 127.0.0.1:0 listener).
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// Requests must NOT inherit cancellation from the run context:
 	// shutdown should drain in-flight work, not abort it. WithoutCancel
@@ -228,8 +228,8 @@ func errStr(err error) string {
 	return err.Error()
 }
 
-// Cache exposes the server's build cache (the load generator reports
-// its traffic).
+// Cache exposes the server's build cache (the farm tests audit its
+// traffic).
 func (s *Server) Cache() *buildcache.Cache { return s.cache }
 
 // ------------------------------------------------------------- sessions

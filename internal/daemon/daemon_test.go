@@ -13,7 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buildcache"
 	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/obs"
 )
 
@@ -173,6 +176,56 @@ func TestSubstituteByteIdenticalToOneShot(t *testing.T) {
 			t.Errorf("%s: daemon substitution differs from one-shot output", subj)
 		}
 	}
+}
+
+// substitutionIdentical creates a fresh (unedited) session for the
+// subject, fetches the daemon's generated files, and compares them
+// byte-for-byte against a direct one-shot core.Substitute run — the
+// same options cmd/yalla uses.
+func substitutionIdentical(c *Client, sessName, subjectName, mode string) (bool, error) {
+	subj := corpus.ByName(subjectName)
+	if subj == nil {
+		return false, fmt.Errorf("unknown subject %q", subjectName)
+	}
+	if _, err := c.CreateSession(sessName, subjectName, mode); err != nil {
+		return false, err
+	}
+	defer c.CloseSession(sessName)
+	got, err := c.Substitute(sessName, true)
+	if err != nil {
+		return false, err
+	}
+
+	fs := subj.FS.Clone()
+	opts := core.Options{
+		FS:          fs,
+		SearchPaths: subj.SearchPaths,
+		Sources:     subj.Sources,
+		Header:      subj.Header,
+		OutDir:      subj.OutDir(),
+		Cache:       buildcache.New(),
+	}
+	want, err := core.Substitute(opts)
+	if err != nil {
+		return false, err
+	}
+	paths := []string{want.LightweightPath, want.WrappersPath}
+	for _, p := range want.ModifiedSources {
+		paths = append(paths, p)
+	}
+	if len(got.Files) != len(paths) {
+		return false, nil
+	}
+	for _, p := range paths {
+		wantContent, err := fs.Read(p)
+		if err != nil {
+			return false, err
+		}
+		if got.Files[p] != wantContent {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 func TestSubstituteMemoAndEditInvalidation(t *testing.T) {
@@ -502,33 +555,6 @@ func TestGracefulDrain(t *testing.T) {
 
 	if _, err := c.Health(); err == nil {
 		t.Error("server still accepting connections after drain")
-	}
-}
-
-func TestLoadgenSmoke(t *testing.T) {
-	rep, err := Loadgen(LoadgenConfig{
-		Clients:   4,
-		Iters:     3,
-		Subjects:  []string{"02", "archiver"},
-		ColdIters: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical {
-		t.Error("loadgen: daemon output not identical to one-shot path")
-	}
-	if rep.WarmIter.Count != 4*2 {
-		t.Errorf("warm iters: %d, want 8", rep.WarmIter.Count)
-	}
-	if rep.FirstIter.Count != 4 {
-		t.Errorf("first iters: %d, want 4", rep.FirstIter.Count)
-	}
-	if rep.ColdCLI.Count != 2 {
-		t.Errorf("cold iters: %d, want 2", rep.ColdCLI.Count)
-	}
-	if _, err := rep.JSON(); err != nil {
-		t.Errorf("report JSON: %v", err)
 	}
 }
 

@@ -4,11 +4,10 @@
 // Figure 7 (per-phase compiler timers), Figure 8 (development-cycle
 // speedup), Figure 9 (generated-code comparison), and Figure 10
 // (first-time build breakdown). It is shared by cmd/experiments and the
-// benchmark harness.
+// end-to-end benchmark (e2ebench).
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -48,8 +47,8 @@ type ModeResult struct {
 	WrapperCompileMs float64
 	PCHBuildMs       float64
 	// WallNs is the real (not virtual) time spent simulating this
-	// subject × mode, for the harness benchmark report. It never feeds
-	// any paper table or figure.
+	// subject × mode, which e2ebench times matrix passes by. It never
+	// feeds any paper table or figure.
 	WallNs int64
 }
 
@@ -665,135 +664,6 @@ func Traces(results []*SubjectResult) map[string]string {
 		}
 	}
 	return out
-}
-
-// ------------------------------------------------- harness benchmarking
-
-// BenchRow is one subject × mode wall-clock measurement (real time spent
-// simulating, not virtual compile time).
-type BenchRow struct {
-	Subject    string `json:"subject"`
-	Library    string `json:"library"`
-	Mode       string `json:"mode"`
-	ColdWallNs int64  `json:"cold_wall_ns"`
-	WarmWallNs int64  `json:"warm_wall_ns"`
-}
-
-// BenchCacheStats is the build cache traffic of a harness benchmark.
-type BenchCacheStats struct {
-	TokenHits   uint64 `json:"token_hits"`
-	TokenMisses uint64 `json:"token_misses"`
-	TUHits      uint64 `json:"tu_hits"`
-	TUMisses    uint64 `json:"tu_misses"`
-	Evictions   uint64 `json:"evictions"`
-	BytesSaved  uint64 `json:"bytes_saved"`
-	TokensSaved uint64 `json:"tokens_saved"`
-}
-
-// BenchReport is the results/bench_harness.json payload: the full
-// subject matrix measured cold-sequential (-j 1, empty cache) and then
-// warm-parallel (same cache, -j jobs).
-type BenchReport struct {
-	Jobs             int   `json:"jobs"`
-	Subjects         int   `json:"subjects"`
-	SequentialColdNs int64 `json:"sequential_cold_ns"`
-	// ParallelColdNs times the matrix at -j jobs with the cache off —
-	// the frontend-bound configuration the speed-pass acceptance gates
-	// on (compare BaselineColdNs).
-	ParallelColdNs int64   `json:"parallel_cold_ns"`
-	ParallelWarmNs int64   `json:"parallel_warm_ns"`
-	Speedup        float64 `json:"speedup"`
-	// BaselineColdNs is the pre-pass frontend's parallel-cold wall time
-	// measured the same way (cache off, same -j), passed in by the
-	// caller; zero when no baseline was supplied.
-	BaselineColdNs    int64           `json:"baseline_cold_ns,omitempty"`
-	SpeedupVsBaseline float64         `json:"speedup_vs_baseline,omitempty"`
-	Cache             BenchCacheStats `json:"cache"`
-	// Frontend is the per-stage microbenchmark record (allocs/op, MB/s).
-	Frontend []FrontendMicro `json:"frontend"`
-	Rows     []BenchRow      `json:"rows"`
-}
-
-// BenchHarness measures the harness itself: one truly cold sequential
-// run of the full matrix (one worker, no build cache — the pre-existing
-// behavior of this harness), an untimed run that primes a fresh build
-// cache, and then one timed warm parallel run against it. The
-// subject-result memo is reset between runs, so every subject is
-// genuinely re-simulated each time. Virtual outputs of all runs are
-// identical; only wall clock differs.
-func BenchHarness(jobs int) (*BenchReport, error) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	bc := buildcache.New()
-	subjects := corpus.All()
-
-	ResetCache()
-	t0 := time.Now()
-	cold, err := RunAllWith(RunConfig{Jobs: 1})
-	if err != nil {
-		return nil, fmt.Errorf("cold run: %v", err)
-	}
-	coldNs := time.Since(t0).Nanoseconds()
-
-	ResetCache()
-	tp := time.Now()
-	if _, err := RunAllWith(RunConfig{Jobs: jobs}); err != nil {
-		return nil, fmt.Errorf("parallel cold run: %v", err)
-	}
-	parallelColdNs := time.Since(tp).Nanoseconds()
-
-	ResetCache()
-	if _, err := RunAllWith(RunConfig{Jobs: jobs, Cache: bc}); err != nil {
-		return nil, fmt.Errorf("priming run: %v", err)
-	}
-
-	ResetCache()
-	t1 := time.Now()
-	warm, err := RunAllWith(RunConfig{Jobs: jobs, Cache: bc})
-	if err != nil {
-		return nil, fmt.Errorf("warm run: %v", err)
-	}
-	warmNs := time.Since(t1).Nanoseconds()
-	ResetCache()
-
-	st := bc.Stats()
-	rep := &BenchReport{
-		Jobs:             jobs,
-		Subjects:         len(subjects),
-		SequentialColdNs: coldNs,
-		ParallelColdNs:   parallelColdNs,
-		ParallelWarmNs:   warmNs,
-		Cache: BenchCacheStats{
-			TokenHits: st.TokenHits, TokenMisses: st.TokenMisses,
-			TUHits: st.TUHits, TUMisses: st.TUMisses,
-			Evictions: st.Evictions, BytesSaved: st.BytesSaved,
-			TokensSaved: st.TokensSaved,
-		},
-	}
-	if warmNs > 0 {
-		rep.Speedup = float64(coldNs) / float64(warmNs)
-	}
-	if rep.Frontend, err = BenchFrontend(); err != nil {
-		return nil, fmt.Errorf("frontend microbenchmarks: %v", err)
-	}
-	for i, s := range subjects {
-		for _, mode := range Modes {
-			rep.Rows = append(rep.Rows, BenchRow{
-				Subject:    s.Name,
-				Library:    s.Library,
-				Mode:       mode.String(),
-				ColdWallNs: cold[i].Modes[mode].WallNs,
-				WarmWallNs: warm[i].Modes[mode].WallNs,
-			})
-		}
-	}
-	return rep, nil
-}
-
-// JSON renders the report indented for results/bench_harness.json.
-func (r *BenchReport) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // SortByTableOrder orders results in Table 2's row order.

@@ -297,7 +297,7 @@ type CacheServerStats struct {
 	Leases  int `json:"leases"`
 }
 
-// Stats snapshots occupancy (for tests and the farm loadgen report).
+// Stats snapshots occupancy (for /healthz and tests).
 func (s *CacheServer) Stats() CacheServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,8 +12,8 @@ import (
 	"repro/internal/obs"
 )
 
-// LocalConfig configures an in-process fleet (the bench harness, the CI
-// smoke test, and `yallafarm serve` all start one).
+// LocalConfig configures an in-process fleet (the farm-team benchmark,
+// the farm tests, and `yallafarm serve` all start one).
 type LocalConfig struct {
 	// Nodes is the daemon count; <= 0 means 3.
 	Nodes int
@@ -22,19 +22,20 @@ type LocalConfig struct {
 	// CacheMaxBytes caps the shared cache server; <= 0 means the server
 	// default.
 	CacheMaxBytes int
-	// QueueTimeout/RequestTimeout are per-node daemon limits; the
-	// defaults are generous (10 min) because local fleets exist to be
-	// saturated by benchmarks, not to shed load.
-	QueueTimeout   time.Duration
-	RequestTimeout time.Duration
-	// RouterReplicas overrides the ring's virtual-node count (tests).
-	RouterReplicas int
 	// RouterAddr/CacheAddr pin the front-door and cache-server listen
 	// addresses (yallafarm serve); empty means an ephemeral loopback
 	// port, which is what benchmarks and tests want.
 	RouterAddr string
 	CacheAddr  string
 }
+
+// nodeQueueTimeout and nodeRequestTimeout are every node's daemon
+// limits. They are generous because local fleets exist to be saturated
+// by benchmarks and load tests, not to shed load.
+const (
+	nodeQueueTimeout   = 10 * time.Minute
+	nodeRequestTimeout = 10 * time.Minute
+)
 
 // Node is one running daemon of a local fleet.
 type Node struct {
@@ -87,12 +88,6 @@ func StartLocal(cfg LocalConfig) (*Farm, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.QueueTimeout <= 0 {
-		cfg.QueueTimeout = 10 * time.Minute
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 10 * time.Minute
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &Farm{cancel: cancel}
@@ -115,11 +110,10 @@ func StartLocal(cfg LocalConfig) (*Farm, error) {
 	f.RouterReg = obs.NewRegistry()
 	f.Router = NewRouter(RouterConfig{
 		Registry: f.RouterReg,
-		Replicas: cfg.RouterReplicas,
 		// A forwarded request may queue for the node's full queue budget
 		// and then run for its full request budget; the router must not
 		// hang up first.
-		ForwardTimeout: cfg.QueueTimeout + cfg.RequestTimeout + 30*time.Second,
+		ForwardTimeout: nodeQueueTimeout + nodeRequestTimeout + 30*time.Second,
 	})
 
 	for i := 0; i < cfg.Nodes; i++ {
@@ -128,8 +122,8 @@ func StartLocal(cfg LocalConfig) (*Farm, error) {
 		reg := obs.NewRegistry()
 		srv := daemon.New(daemon.Config{
 			Workers:        cfg.Workers,
-			QueueTimeout:   cfg.QueueTimeout,
-			RequestTimeout: cfg.RequestTimeout,
+			QueueTimeout:   nodeQueueTimeout,
+			RequestTimeout: nodeRequestTimeout,
 			Cache:          buildcache.New(),
 			Remote:         remote,
 			NodeID:         id,

@@ -63,9 +63,6 @@ type RouterConfig struct {
 	// Backoff is the initial retry delay, doubling per attempt; <= 0
 	// means 100ms.
 	Backoff time.Duration
-	// Replicas overrides the ring's virtual-node count (tests use small
-	// values); <= 0 means the default.
-	Replicas int
 }
 
 // NewRouter returns an empty router; add nodes with AddNode.
@@ -85,7 +82,7 @@ func NewRouter(cfg RouterConfig) *Router {
 	return &Router{
 		o:       obs.New(nil, cfg.Registry),
 		reg:     cfg.Registry,
-		ring:    NewRing(cfg.Replicas),
+		ring:    NewRing(defaultReplicas),
 		hc:      &http.Client{Timeout: cfg.ForwardTimeout},
 		nodes:   map[string]*routerNode{},
 		started: time.Now(),

@@ -23,7 +23,6 @@ var direct = map[string]bool{
 // by design, keyed by file or by "file:function".
 var allowedDirect = map[string]string{
 	"internal/buildcache/buildcache.go:(*TU).Unit": "re-parse of an adopted or released entry; buildcache cannot import frontend",
-	"internal/experiments/benchfrontend.go":        "stage micro-benchmarks time preprocess and parse separately",
 }
 
 // TestOneFrontend fails on any preprocessor.New or parser.New in the

@@ -16,7 +16,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"net"
 	"sort"
 	"strings"
@@ -24,7 +23,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/daemon"
-	"repro/internal/obs"
 )
 
 // Class names, in report order.
@@ -38,21 +36,19 @@ const (
 // Classes lists the edit classes every replay run drives.
 func Classes() []string { return []string{ClassComment, ClassBody, ClassInterface, ClassMixed} }
 
+// mode is the build configuration every replay session runs, and
+// workers sizes the in-process daemon's pool.
+const (
+	mode    = "yalla"
+	workers = 4
+)
+
 // Config configures a replay run.
 type Config struct {
 	// Subjects to replay; nil means the whole corpus.
 	Subjects []string
-	// Mode is the build configuration (empty = yalla).
-	Mode string
 	// Iters is the number of edits per class per subject; <= 0 means 5.
 	Iters int
-	// Addr, when set, drives an already-running daemon; empty starts an
-	// in-process one on a loopback listener.
-	Addr string
-	// Workers sizes the in-process daemon's pool; <= 0 means 4.
-	Workers int
-	// Log, when set, receives per-subject progress lines.
-	Log *slog.Logger
 	// InjectDelay, when > 0, sleeps inside every timed edit→rebuild
 	// window. Test-only: it synthesizes a uniform slowdown so the
 	// regression gate's detection path can be exercised without slowing
@@ -60,12 +56,63 @@ type Config struct {
 	InjectDelay time.Duration
 }
 
+// LatencyStats summarizes a latency sample in nanoseconds.
+type LatencyStats struct {
+	Count  int   `json:"count"`
+	MeanNs int64 `json:"mean_ns"`
+	P50Ns  int64 `json:"p50_ns"`
+	P95Ns  int64 `json:"p95_ns"`
+	P99Ns  int64 `json:"p99_ns"`
+	MaxNs  int64 `json:"max_ns"`
+}
+
+// quantile is the p-quantile of an ascending sample by floor index,
+// with no interpolation, so every reported quantile is one of the
+// samples. Both the wall and the virtual statistics use it; the virtual
+// p95 figures the regression gate holds exactly come from it.
+func quantile[T any](sorted []T, p float64) T {
+	return sorted[int(p*float64(len(sorted)-1))]
+}
+
+func summarize(samples []time.Duration) LatencyStats {
+	if len(samples) == 0 {
+		return LatencyStats{}
+	}
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var sum time.Duration
+	for _, s := range sorted {
+		sum += s
+	}
+	return LatencyStats{
+		Count:  len(sorted),
+		MeanNs: (sum / time.Duration(len(sorted))).Nanoseconds(),
+		P50Ns:  quantile(sorted, 0.50).Nanoseconds(),
+		P95Ns:  quantile(sorted, 0.95).Nanoseconds(),
+		P99Ns:  quantile(sorted, 0.99).Nanoseconds(),
+		MaxNs:  sorted[len(sorted)-1].Nanoseconds(),
+	}
+}
+
+func virtualStats(ms []float64) (mean, p95 float64) {
+	if len(ms) == 0 {
+		return 0, 0
+	}
+	sorted := append([]float64(nil), ms...)
+	sort.Float64s(sorted)
+	var sum float64
+	for _, v := range sorted {
+		sum += v
+	}
+	return sum / float64(len(sorted)), quantile(sorted, 0.95)
+}
+
 // ClassStats is one edit class's aggregate across a run.
 type ClassStats struct {
 	Class string `json:"class"`
 	// Edits is how many timed edit→rebuild windows the class ran.
-	Edits   int                 `json:"edits"`
-	Latency daemon.LatencyStats `json:"latency"`
+	Edits   int          `json:"edits"`
+	Latency LatencyStats `json:"latency"`
 	// Invalidations and Prepares sum the per-session counters: the
 	// interface class should account for (almost) all of both.
 	Invalidations uint64 `json:"invalidations"`
@@ -183,13 +230,6 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 5
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	log := cfg.Log
-	if log == nil {
-		log = obs.Discard()
-	}
 	subjects := cfg.Subjects
 	if subjects == nil {
 		for _, s := range corpus.All() {
@@ -202,34 +242,27 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	base := cfg.Addr
-	if base == "" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("replay: listen: %v", err)
-		}
-		// Like the load generator, a benchmark must not shed load — the
-		// interface class deliberately triggers slow re-Prepares.
-		srv := daemon.New(daemon.Config{
-			Workers:        cfg.Workers,
-			QueueTimeout:   10 * time.Minute,
-			RequestTimeout: 10 * time.Minute,
-		})
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- srv.Serve(ctx, ln) }()
-		defer func() {
-			cancel()
-			<-done
-		}()
-		base = "http://" + ln.Addr().String()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("replay: listen: %v", err)
 	}
-	c := daemon.NewClient(base)
+	// A benchmark must not shed load — the interface class deliberately
+	// triggers slow re-Prepares.
+	srv := daemon.New(daemon.Config{
+		Workers:        workers,
+		QueueTimeout:   10 * time.Minute,
+		RequestTimeout: 10 * time.Minute,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	c := daemon.NewClient("http://" + ln.Addr().String())
 
-	rep := &Report{Mode: cfg.Mode, Iters: cfg.Iters, Subjects: len(subjects)}
-	if rep.Mode == "" {
-		rep.Mode = "yalla"
-	}
+	rep := &Report{Mode: mode, Iters: cfg.Iters, Subjects: len(subjects)}
 	agg := map[string]*classAgg{}
 	for _, class := range Classes() {
 		agg[class] = &classAgg{}
@@ -242,7 +275,6 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		rep.PerSubject = append(rep.PerSubject, *sr)
-		log.Info("replay subject done", "subject", name, "classes", len(sr.Classes))
 	}
 	rep.WallNs = time.Since(t0).Nanoseconds()
 
@@ -251,7 +283,7 @@ func Run(cfg Config) (*Report, error) {
 		cs := ClassStats{
 			Class:             class,
 			Edits:             len(a.samples),
-			Latency:           daemon.Summarize(a.samples),
+			Latency:           summarize(a.samples),
 			Invalidations:     a.invalidations,
 			Prepares:          a.prepares,
 			EarlyCutoffHits:   a.earlyCutoffHits,
@@ -286,19 +318,6 @@ type classAgg struct {
 	declsDiffed       uint64
 }
 
-func virtualStats(ms []float64) (mean, p95 float64) {
-	if len(ms) == 0 {
-		return 0, 0
-	}
-	sorted := append([]float64(nil), ms...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, v := range sorted {
-		sum += v
-	}
-	return sum / float64(len(sorted)), sorted[int(0.95*float64(len(sorted)-1))]
-}
-
 // replaySubject drives all edit classes for one subject. Each class gets
 // its own session so one class's invalidations never pollute another's
 // warm state; the first (untimed) cycle pays the prepare.
@@ -307,12 +326,11 @@ func replaySubject(c *daemon.Client, name string, cfg Config, agg map[string]*cl
 	sr := &SubjectReport{Subject: subj.Name, Library: subj.Library}
 	for _, class := range Classes() {
 		sess := fmt.Sprintf("replay-%s-%s", name, class)
-		if _, err := c.CreateSession(sess, name, cfg.Mode); err != nil {
+		if _, err := c.CreateSession(sess, name, mode); err != nil {
 			return nil, fmt.Errorf("replay %s/%s: %v", name, class, err)
 		}
-		// Warm the session: the prepare and first compile are measured by
-		// the loadgen benchmark, not here — replay isolates the
-		// steady-state cost of each edit class.
+		// Warm the session: replay isolates the steady-state cost of each
+		// edit class, so the prepare and first compile stay untimed.
 		if _, err := c.Cycle(sess, ""); err != nil {
 			return nil, fmt.Errorf("replay %s/%s warmup: %v", name, class, err)
 		}
@@ -379,7 +397,7 @@ func replaySubject(c *daemon.Client, name string, cfg Config, agg map[string]*cl
 		cs := ClassStats{
 			Class:             class,
 			Edits:             len(samples),
-			Latency:           daemon.Summarize(samples),
+			Latency:           summarize(samples),
 			Invalidations:     info.Invalidations - before.Invalidations,
 			Prepares:          info.Prepares - before.Prepares,
 			EarlyCutoffHits:   info.EarlyCutoffHits - before.EarlyCutoffHits,

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -134,5 +135,87 @@ func TestEditScripts(t *testing.T) {
 	}
 	if !strings.HasPrefix(got, "x\n") {
 		t.Errorf("mixed rewrite dropped the original content: %q", got)
+	}
+}
+
+// refSummarize and refVirtualStats are the formulas the committed
+// replay figures were computed with, kept verbatim as the reference for
+// the shared quantile helper.
+func refSummarize(samples []time.Duration) LatencyStats {
+	if len(samples) == 0 {
+		return LatencyStats{}
+	}
+	sorted := append([]time.Duration(nil), samples...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	var sum time.Duration
+	for _, s := range sorted {
+		sum += s
+	}
+	q := func(p float64) int64 {
+		i := int(p * float64(len(sorted)-1))
+		return sorted[i].Nanoseconds()
+	}
+	return LatencyStats{
+		Count:  len(sorted),
+		MeanNs: (sum / time.Duration(len(sorted))).Nanoseconds(),
+		P50Ns:  q(0.50),
+		P95Ns:  q(0.95),
+		P99Ns:  q(0.99),
+		MaxNs:  sorted[len(sorted)-1].Nanoseconds(),
+	}
+}
+
+func refVirtualStats(ms []float64) (mean, p95 float64) {
+	if len(ms) == 0 {
+		return 0, 0
+	}
+	sorted := append([]float64(nil), ms...)
+	sort.Float64s(sorted)
+	var sum float64
+	for _, v := range sorted {
+		sum += v
+	}
+	return sum / float64(len(sorted)), sorted[int(0.95*float64(len(sorted)-1))]
+}
+
+// TestQuantilesMatchReference pins the wall and virtual statistics on
+// fixed samples, unsorted on input, against the reference formulas.
+func TestQuantilesMatchReference(t *testing.T) {
+	ramp := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64((i*7)%n) + 0.5
+		}
+		return xs
+	}
+	cases := []struct {
+		name    string
+		samples []float64
+		p95     float64 // the virtual p95, pinned
+	}{
+		{"empty", nil, 0},
+		{"n=1", []float64{380.61}, 380.61},
+		{"odd n", []float64{5, 1, 4, 2, 3}, 4},
+		{"even n", []float64{40, 10, 30, 20}, 30},
+		{"ties", []float64{7, 3, 7, 7, 3, 9}, 7},
+		{"n=20", ramp(20), 18.5},
+		{"n=101", ramp(101), 95.5},
+	}
+	for _, tc := range cases {
+		wall := make([]time.Duration, len(tc.samples))
+		for i, v := range tc.samples {
+			wall[i] = time.Duration(v * 1e6)
+		}
+		if got, want := summarize(wall), refSummarize(wall); got != want {
+			t.Errorf("%s: summarize = %+v, reference %+v", tc.name, got, want)
+		}
+		mean, p95 := virtualStats(tc.samples)
+		refMean, refP95 := refVirtualStats(tc.samples)
+		if mean != refMean || p95 != refP95 {
+			t.Errorf("%s: virtualStats = (%v, %v), reference (%v, %v)", tc.name, mean, p95, refMean, refP95)
+		}
+		if p95 != tc.p95 {
+			t.Errorf("%s: virtual p95 = %v, want %v", tc.name, p95, tc.p95)
+		}
 	}
 }
