@@ -295,39 +295,34 @@ func BenchmarkAblationOptLevels(b *testing.B) {
 
 // BenchmarkHarnessSequential measures the real wall-clock cost of the
 // full 18-subject × 3-mode evaluation run cold: one worker, no build
-// cache, subject-result memo reset every iteration. This is the baseline
-// the parallel/cached harness is compared against.
+// cache. This is the baseline the parallel/cached harness is compared
+// against.
 func BenchmarkHarnessSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunAllWith(experiments.RunConfig{Jobs: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	experiments.ResetCache()
 }
 
 // BenchmarkHarnessParallel measures the same full matrix warm: a 4-way
 // worker pool served from a build cache primed by one untimed cold run.
-// Every iteration resets the subject-result memo, so all subjects are
-// genuinely re-simulated — only lexing/preprocessing/parsing is reused.
+// Every iteration re-simulates all subjects; only lexing, preprocessing
+// and parsing are reused.
 // The rendered tables and figures are byte-identical to the sequential
 // cold run (see TestParallelAndCachedRunsAreByteIdentical).
 func BenchmarkHarnessParallel(b *testing.B) {
 	bc := buildcache.New()
-	experiments.ResetCache()
 	if _, err := experiments.RunAllWith(experiments.RunConfig{Jobs: 4, Cache: bc}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCache()
 		if _, err := experiments.RunAllWith(experiments.RunConfig{Jobs: 4, Cache: bc}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	experiments.ResetCache()
 	st := bc.Stats()
 	b.ReportMetric(float64(st.TUHits), "tu_hits")
 	b.ReportMetric(float64(st.TokenHits), "token_hits")

@@ -66,11 +66,11 @@ type Stats struct {
 	Evictions   uint64
 	BytesSaved  uint64
 	TokensSaved uint64
-	// EvictedBytes is the estimated size of TU entries evicted by the
-	// MaxBytes cap.
+	// EvictedBytes is the estimated size of the TU entries evicted, by
+	// any bound (see tokenShare and treeShare).
 	EvictedBytes uint64
 	// ResidentBytes is the estimated resident size of the cached TU
-	// entries (see tokenShare and treeShare): what MaxBytes caps.
+	// entries (see tokenShare and treeShare).
 	ResidentBytes uint64
 
 	// Remote (L2) tier traffic; all zero when no Backend is attached.
@@ -196,15 +196,6 @@ type Dep struct {
 	Hash string
 }
 
-// DefaultMaxTokenEntries bounds the token-stream map; when exceeded the
-// completed entries are flushed (a generational eviction, like ccache's
-// size-triggered cleanup).
-const DefaultMaxTokenEntries = 8192
-
-// DefaultMaxTUVariants bounds how many differing-manifest variants are
-// kept per configuration key (oldest evicted first).
-const DefaultMaxTUVariants = 8
-
 type lexEntry struct {
 	done chan struct{}
 	toks []token.Token
@@ -217,8 +208,8 @@ type tuEntry struct {
 	deps  []Dep
 	val   *TU
 	// tokBytes and treeBytes split the entry's estimated resident size,
-	// charged against MaxBytes: the token share for as long as the entry
-	// is cached, the tree share only while val holds a tree. The cache
+	// charged to Stats.ResidentBytes: the token share for as long as the
+	// entry is cached, the tree share only while val holds a tree. The cache
 	// sets and releases val's tree under its lock, so the charge and the
 	// slot always agree.
 	tokBytes, treeBytes int
@@ -237,8 +228,8 @@ func (e *tuEntry) charge() int {
 
 // Per-token shares of a TU's size estimate: the 40-byte Token struct
 // (its spelling is counted separately), and the arena'd AST nodes a
-// token typically expands into. An estimate is enough — MaxBytes is an
-// ops guardrail, not an allocator.
+// token typically expands into. An estimate is enough: ResidentBytes is
+// a gauge, not an allocator.
 const (
 	tokenBytesPerToken = 40
 	treeBytesPerToken  = 56
@@ -326,22 +317,19 @@ type Cache struct {
 	stats     Stats
 	ins       instruments
 
-	// MaxTokenEntries and MaxTUVariants override the eviction bounds;
-	// set them before first use.
-	MaxTokenEntries int
-	MaxTUVariants   int
+	// maxTokenEntries bounds the token-stream map; when exceeded the
+	// completed entries are flushed (a generational eviction, like
+	// ccache's size-triggered cleanup). maxTUVariants bounds how many
+	// differing-manifest variants are kept per configuration key (oldest
+	// evicted first). New sets both; tests lower them.
+	maxTokenEntries int
+	maxTUVariants   int
 	// MaxTUEntries, when > 0, caps the total number of cached translation
 	// units across all configuration keys with least-recently-used
 	// eviction (hits refresh recency). The default 0 keeps the historical
 	// unbounded behavior — fine for one-shot harness runs, a real leak
 	// for a long-lived daemon, which sets this. Set before first use.
 	MaxTUEntries int
-	// MaxBytes, when > 0, caps the estimated resident size of cached
-	// translation units (see tuSizeEstimate) with the same LRU policy,
-	// composing with MaxTUEntries: whichever bound trips first evicts.
-	// Evicted bytes are counted in Stats.EvictedBytes and the
-	// buildcache.evicted_bytes registry counter. Set before first use.
-	MaxBytes int
 	// Remote, when set, is the shared L2 tier: local misses consult it
 	// before building, local builds publish to it, and whole-TU misses
 	// coordinate through its lease so a fleet-wide cold miss compiles
@@ -358,8 +346,8 @@ func New() *Cache {
 		tus:             map[string][]*tuEntry{},
 		tuLRU:           list.New(),
 		tuFlights:       map[string]*flight{},
-		MaxTokenEntries: DefaultMaxTokenEntries,
-		MaxTUVariants:   DefaultMaxTUVariants,
+		maxTokenEntries: 8192,
+		maxTUVariants:   8,
 	}
 }
 
@@ -557,11 +545,7 @@ func (c *Cache) lexOrRemote(key string, lex func() ([]token.Token, error)) ([]to
 // evictTokensLocked flushes completed token entries once the map exceeds
 // its bound. In-flight entries are kept: their builders still hold them.
 func (c *Cache) evictTokensLocked() {
-	max := c.MaxTokenEntries
-	if max <= 0 {
-		max = DefaultMaxTokenEntries
-	}
-	if len(c.lex) < max {
+	if len(c.lex) < c.maxTokenEntries {
 		return
 	}
 	for k, e := range c.lex {
@@ -798,27 +782,13 @@ func (c *Cache) insertLocked(key string, deps []Dep, val *TU) *TU {
 	e.elem = c.tuLRU.PushFront(e)
 	c.tus[key] = append(c.tus[key], e)
 	c.chargeLocked(e.charge())
-	maxVar := c.MaxTUVariants
-	if maxVar <= 0 {
-		maxVar = DefaultMaxTUVariants
-	}
-	for len(c.tus[key]) > maxVar {
+	for len(c.tus[key]) > c.maxTUVariants {
 		c.evictTULocked(c.tus[key][0]) // oldest variant first
 	}
 	for c.MaxTUEntries > 0 && c.tuLRU.Len() > c.MaxTUEntries {
 		c.evictTULocked(c.tuLRU.Back().Value.(*tuEntry))
 	}
-	c.evictOverBytesLocked()
 	return own
-}
-
-// evictOverBytesLocked enforces MaxBytes, least recently used first. It
-// keeps at least one entry: a single TU larger than MaxBytes caches
-// alone rather than thrashing. Caller holds c.mu.
-func (c *Cache) evictOverBytesLocked() {
-	for c.MaxBytes > 0 && c.stats.ResidentBytes > uint64(c.MaxBytes) && c.tuLRU.Len() > 1 {
-		c.evictTULocked(c.tuLRU.Back().Value.(*tuEntry))
-	}
 }
 
 // releaseTreeLocked drops e's tree, if it holds one, and its charge.
@@ -845,7 +815,6 @@ func (c *Cache) holdTree(e *tuEntry, tree *ast.TranslationUnit) {
 		}
 	}
 	c.chargeLocked(e.treeBytes)
-	c.evictOverBytesLocked()
 }
 
 // chargeLocked moves the resident-size estimate by delta bytes and

@@ -124,7 +124,7 @@ func TestTokensSingleflight(t *testing.T) {
 
 func TestTokenEviction(t *testing.T) {
 	c := New()
-	c.MaxTokenEntries = 4
+	c.maxTokenEntries = 4
 	for i := 0; i < 10; i++ {
 		src := string(rune('a'+i)) + ";"
 		if _, err := c.Tokens("f.hpp", src, func() ([]token.Token, error) {
@@ -135,10 +135,10 @@ func TestTokenEviction(t *testing.T) {
 	}
 	st := c.Stats()
 	if st.Evictions == 0 {
-		t.Fatal("no evictions despite exceeding MaxTokenEntries")
+		t.Fatal("no evictions despite exceeding maxTokenEntries")
 	}
-	if len(c.lex) > c.MaxTokenEntries {
-		t.Fatalf("map holds %d entries, bound is %d", len(c.lex), c.MaxTokenEntries)
+	if len(c.lex) > c.maxTokenEntries {
+		t.Fatalf("map holds %d entries, bound is %d", len(c.lex), c.maxTokenEntries)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestTranslationUnitManifestValidation(t *testing.T) {
 
 func TestTranslationUnitVariantEviction(t *testing.T) {
 	c := New()
-	c.MaxTUVariants = 2
+	c.maxTUVariants = 2
 	key := ConfigKey("k")
 	never := func(Dep) bool { return false }
 	for i := 0; i < 5; i++ {
@@ -349,12 +349,15 @@ func TestTranslationUnitLRUEvictionCounterInRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := c.Stats().Evictions
-	if want == 0 {
-		t.Fatal("no evictions happened")
+	st := c.Stats()
+	if st.Evictions == 0 || st.EvictedBytes == 0 {
+		t.Fatalf("stats = %+v, want evictions with their bytes counted", st)
 	}
-	if got := reg.Counter("buildcache.evictions").Value(); got != want {
-		t.Fatalf("registry evictions = %d, Stats().Evictions = %d", got, want)
+	if got := reg.Counter("buildcache.evictions").Value(); got != st.Evictions {
+		t.Fatalf("registry evictions = %d, Stats().Evictions = %d", got, st.Evictions)
+	}
+	if got := reg.Counter("buildcache.evicted_bytes").Value(); got != st.EvictedBytes {
+		t.Fatalf("registry evicted_bytes = %d, Stats().EvictedBytes = %d", got, st.EvictedBytes)
 	}
 }
 

@@ -150,7 +150,7 @@ func TestReleaseRacesUnit(t *testing.T) {
 		decls[i] = len(tus[i].Unit(nil).Decls)
 	}
 	c := New()
-	c.MaxTUVariants = 3 // builders also evict, so Unit races eviction too
+	c.maxTUVariants = 3 // builders also evict, so Unit races eviction too
 	reg := obs.NewRegistry()
 	c.AttachMetrics(obs.New(nil, reg))
 	key := ConfigKey("k")

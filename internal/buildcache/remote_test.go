@@ -2,7 +2,6 @@ package buildcache
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -314,63 +313,6 @@ func TestRemoteStaleManifestIsMiss(t *testing.T) {
 	}
 	if st := b.Stats(); st.RemoteTUHits != 0 {
 		t.Fatalf("stats = %+v, want no remote hit for a stale manifest", st)
-	}
-}
-
-func TestMaxBytesEviction(t *testing.T) {
-	c := New()
-	reg := obs.NewRegistry()
-	c.AttachMetrics(obs.New(nil, reg))
-	always := func(Dep) bool { return true }
-	tu, deps := realTU(t)
-	one := tokenShare(tu, deps)
-	c.MaxBytes = 3*one + one/2 // room for ~3 entries
-
-	for i := 0; i < 8; i++ {
-		if _, _, err := c.TranslationUnit(ConfigKey(fmt.Sprintf("k%d", i)), always, func() (*TU, []Dep, error) {
-			return tu, deps, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.Evictions == 0 || st.EvictedBytes == 0 {
-		t.Fatalf("stats = %+v, want byte-cap evictions", st)
-	}
-	if st.ResidentBytes > uint64(c.MaxBytes) {
-		t.Fatalf("resident estimate %d exceeds MaxBytes %d", st.ResidentBytes, c.MaxBytes)
-	}
-	if n := c.tuLRU.Len(); n == 0 || n > 3 {
-		t.Fatalf("LRU holds %d entries, want 1..3 under the byte cap", n)
-	}
-	if got := reg.Counter("buildcache.evicted_bytes").Value(); got != st.EvictedBytes {
-		t.Fatalf("registry evicted_bytes = %d, Stats().EvictedBytes = %d", got, st.EvictedBytes)
-	}
-	// Most-recent entries survive.
-	if _, cached, _ := c.TranslationUnit(ConfigKey("k7"), always, nil); !cached {
-		t.Fatal("newest entry was evicted")
-	}
-}
-
-func TestMaxBytesKeepsOversizedSingleton(t *testing.T) {
-	c := New()
-	always := func(Dep) bool { return true }
-	tu, deps := realTU(t)
-	c.MaxBytes = 1 // every entry is oversized
-	for i := 0; i < 3; i++ {
-		if _, _, err := c.TranslationUnit(ConfigKey(fmt.Sprintf("k%d", i)), always, func() (*TU, []Dep, error) {
-			return tu, deps, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The newest entry always stays cached: an oversized TU caches alone
-	// instead of thrashing.
-	if n := c.tuLRU.Len(); n != 1 {
-		t.Fatalf("LRU holds %d entries, want exactly the newest", n)
-	}
-	if _, cached, _ := c.TranslationUnit(ConfigKey("k2"), always, nil); !cached {
-		t.Fatal("newest oversized entry was evicted")
 	}
 }
 

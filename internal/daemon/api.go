@@ -439,17 +439,12 @@ func (s *Server) handleSubstitute(w http.ResponseWriter, r *http.Request, o *obs
 	if sess == nil {
 		return http.StatusNotFound
 	}
-	res, err := s.substitute(r.Context(), sess, o)
+	res, err := sess.Substitute(r.Context(), o)
 	if err != nil {
 		return s.computeError(w, r, err)
 	}
-	if res.Memoized {
-		s.o.Counter("daemon.substitute.memo_hits").Add(1)
-	}
 	if r.URL.Query().Get("include_content") == "" {
-		stripped := res.clone()
-		stripped.Files = nil
-		res = stripped
+		res.Files = nil
 	}
 	writeJSON(w, http.StatusOK, res)
 	return http.StatusOK

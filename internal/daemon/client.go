@@ -176,7 +176,7 @@ func (c *Client) Cycle(session, newSymbol string) (*CycleResult, error) {
 	return &res, nil
 }
 
-// Substitute runs (or memo-serves) Header Substitution for the session.
+// Substitute runs Header Substitution for the session.
 func (c *Client) Substitute(session string, includeContent bool) (*SubstituteResult, error) {
 	path := "/v1/sessions/" + url.PathEscape(session) + "/substitute"
 	if includeContent {

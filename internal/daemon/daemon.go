@@ -4,11 +4,11 @@
 // full re-analysis on every iteration; the daemon instead holds named
 // sessions (subject + mode + a copy-on-write vfs overlay), accepts file
 // edits, and serves compile-cycle and substitution requests
-// incrementally — only work whose content hashes changed is redone,
-// identical concurrent requests are deduplicated (a daemon-level
-// singleflight for substitution results on top of the build cache's
-// TU/token singleflight), and everything heavy runs on a bounded worker
-// pool with queue timeouts.
+// incrementally — only work whose content hashes changed is redone. The
+// shared build cache is the one place work is reused: through its token
+// and TU singleflight, identical requests, concurrent or repeated and in
+// any session, lex and parse each unit once. Everything heavy runs on a
+// bounded worker pool with queue timeouts.
 //
 // Observability: every request records an obs span into its own trace
 // lane (sealed on completion, so /trace can export mid-run) plus RED
@@ -116,11 +116,6 @@ type Server struct {
 	// for their whole execution.
 	slots chan struct{}
 
-	// substFlights dedups identical concurrent substitution requests
-	// across sessions (same subject, mode, and edit state).
-	substMu      sync.Mutex
-	substFlights map[string]*substFlight
-
 	reqIDs   atomic.Uint64
 	inflight atomic.Int64
 	started  time.Time
@@ -132,13 +127,6 @@ type Server struct {
 
 	// recent is the dashboard's sample ring of completed requests.
 	recent latRing
-}
-
-type substFlight struct {
-	done chan struct{}
-	key  string // key the result was actually computed under
-	res  *SubstituteResult
-	err  error
 }
 
 // New returns a configured server (not yet listening).
@@ -165,16 +153,15 @@ func New(cfg Config) *Server {
 	o := obs.New(cfg.Tracer, cfg.Registry).WithLogger(log)
 	cache.AttachMetrics(o)
 	return &Server{
-		cfg:          cfg,
-		o:            o,
-		tracer:       cfg.Tracer,
-		reg:          cfg.Registry,
-		cache:        cache,
-		log:          log,
-		sessions:     map[string]*Session{},
-		slots:        make(chan struct{}, cfg.Workers),
-		substFlights: map[string]*substFlight{},
-		started:      time.Now(),
+		cfg:      cfg,
+		o:        o,
+		tracer:   cfg.Tracer,
+		reg:      cfg.Registry,
+		cache:    cache,
+		log:      log,
+		sessions: map[string]*Session{},
+		slots:    make(chan struct{}, cfg.Workers),
+		started:  time.Now(),
 	}
 }
 
@@ -279,7 +266,7 @@ func (s *Server) Session(name string) *Session {
 	return s.sessions[name]
 }
 
-// CloseSession removes a session; its overlay (and memo) become
+// CloseSession removes a session; its overlay and prepared setup become
 // garbage. Returns false if it did not exist.
 func (s *Server) CloseSession(name string) bool {
 	s.mu.Lock()
@@ -311,54 +298,6 @@ func (s *Server) Sessions() []Info {
 	}
 	sortInfos(infos)
 	return infos
-}
-
-// -------------------------------------------------- substitution dedup
-
-// substitute serves a session's substitution request with cross-session
-// singleflight: concurrent requests whose sessions are in an identical
-// state (same subject, mode, edits) share one tool run; waiters adopt
-// the result into their own overlay.
-func (s *Server) substitute(ctx context.Context, sess *Session, o *obs.Obs) (*SubstituteResult, error) {
-	for attempt := 0; ; attempt++ {
-		key := sess.StateKey()
-		s.substMu.Lock()
-		if fl, ok := s.substFlights[key]; ok && attempt < 3 {
-			s.substMu.Unlock()
-			s.o.Counter("daemon.singleflight.dedup").Add(1)
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if fl.err != nil || fl.key != key {
-				continue // builder failed or raced an edit; compute ourselves
-			}
-			sess.adoptSubstitute(key, fl.res)
-			res := fl.res.clone()
-			res.Deduplicated = true
-			return res, nil
-		}
-		fl := &substFlight{done: make(chan struct{})}
-		s.substFlights[key] = fl
-		s.substMu.Unlock()
-
-		res, usedKey, err := sess.Substitute(ctx, o)
-		fl.key, fl.res, fl.err = usedKey, res, err
-		s.substMu.Lock()
-		delete(s.substFlights, key)
-		s.substMu.Unlock()
-		close(fl.done)
-		return res, err
-	}
-}
-
-// StateKey snapshots the session's substitution identity (exported for
-// the server's singleflight and for tests).
-func (sess *Session) StateKey() string {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.stateKeyLocked()
 }
 
 // ------------------------------------------------------- worker pooling

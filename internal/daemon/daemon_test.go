@@ -228,67 +228,60 @@ func substitutionIdentical(c *Client, sessName, subjectName, mode string) (bool,
 	return true, nil
 }
 
-func TestSubstituteMemoAndEditInvalidation(t *testing.T) {
+// TestSubstituteFollowsEdits: every substitution reflects the session's
+// current tree. An edit to the main source shows up in its substituted
+// copy, a no-op save leaves the generated files as they were, and the
+// contents travel only when the client asks for them.
+func TestSubstituteFollowsEdits(t *testing.T) {
 	base, srv, shutdown := startServer(t, Config{})
 	defer shutdown()
 	c := NewClient(base)
 	if _, err := c.CreateSession("s", "archiver", ""); err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.Substitute("s", false)
+	bare, err := c.Substitute("s", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Memoized {
-		t.Error("first substitute claims memoized")
-	}
-	if len(first.Files) != 0 {
+	if len(bare.Files) != 0 {
 		t.Error("contents returned without include_content")
 	}
-	second, err := c.Substitute("s", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Memoized {
-		t.Error("second substitute not memoized")
-	}
 
-	// An edit changes the state key; the memo must not be served.
-	sess := srv.Session("s")
-	main := sess.subject.MainFile
+	main := srv.Session("s").subject.MainFile
 	content, err := c.ReadFile("s", main)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Edit("s", main, content+"\n// changed\n"); err != nil {
+	const marker = "// daemon edit marker"
+	if _, err := c.Edit("s", main, content+"\n"+marker+"\n"); err != nil {
 		t.Fatal(err)
 	}
-	third, err := c.Substitute("s", false)
+	edited, err := c.Substitute("s", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if third.Memoized {
-		t.Error("substitute after edit served stale memo")
+	copyPath, ok := edited.ModifiedSources[main]
+	if !ok {
+		t.Fatalf("no substituted copy of %s in %v", main, edited.ModifiedSources)
+	}
+	if !strings.Contains(edited.Files[copyPath], marker) {
+		t.Errorf("substituted copy %s misses the edit to %s", copyPath, main)
 	}
 
-	// A no-op save (identical content hash) keeps the memo valid.
-	cur, err := c.ReadFile("s", main)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ed, err := c.Edit("s", main, cur)
+	// A no-op save (identical content hash) changes no generated file.
+	ed, err := c.Edit("s", main, content+"\n"+marker+"\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ed.Changed {
 		t.Error("no-op save reported as a change")
 	}
-	fourth, err := c.Substitute("s", false)
+	again, err := c.Substitute("s", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fourth.Memoized {
-		t.Error("no-op save invalidated the memo")
+	if !reflect.DeepEqual(again.Files, edited.Files) {
+		t.Error("no-op save changed the generated files")
 	}
 }
 
@@ -349,10 +342,25 @@ func TestStructuralEditForcesReprepare(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubstituteIdenticalState drives many concurrent
-// substitution requests across sessions in an identical state; all must
-// return the same result and every session tree must hold the files.
+// TestConcurrentSubstituteIdenticalState drives concurrent substitution
+// requests across sessions in an identical state. All must return the
+// same result, and every session tree must hold the files. The build
+// cache is the one place their work is shared: the eight sessions must
+// build and lex exactly what one session alone does.
 func TestConcurrentSubstituteIdenticalState(t *testing.T) {
+	solo := New(Config{})
+	sess, err := solo.CreateSession("solo", "capitalize", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Substitute(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	want := solo.Cache().Stats()
+	if want.TUMisses == 0 || want.TokenMisses == 0 {
+		t.Fatalf("one session built %d units and lexed %d files, want both > 0", want.TUMisses, want.TokenMisses)
+	}
+
 	base, srv, shutdown := startServer(t, Config{Workers: 8, Registry: obs.NewRegistry()})
 	defer shutdown()
 	const n = 8
@@ -383,8 +391,6 @@ func TestConcurrentSubstituteIdenticalState(t *testing.T) {
 			t.Errorf("twin %d files differ from twin 0", i)
 		}
 	}
-	// Whether a given request computed, memo-hit, or waited on the
-	// flight, its session tree must contain the generated files.
 	for i := 0; i < n; i++ {
 		sess := srv.Session(fmt.Sprintf("twin%d", i))
 		for p, want := range results[0].Files {
@@ -393,6 +399,10 @@ func TestConcurrentSubstituteIdenticalState(t *testing.T) {
 				t.Errorf("twin %d: generated file %s missing or differs (%v)", i, p, err)
 			}
 		}
+	}
+	if got := srv.Cache().Stats(); got.TUMisses != want.TUMisses || got.TokenMisses != want.TokenMisses {
+		t.Errorf("%d sessions built %d units and lexed %d files, one session %d and %d",
+			n, got.TUMisses, got.TokenMisses, want.TUMisses, want.TokenMisses)
 	}
 }
 

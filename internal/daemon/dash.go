@@ -114,7 +114,6 @@ type dashData struct {
 	Inflight  int64
 	Requests  uint64
 	Errors    uint64
-	Dedup     uint64
 	Routes    []dashRow
 	Phases    []dashRow
 	Cache     dashCache
@@ -145,7 +144,6 @@ func (s *Server) dashData() dashData {
 		Inflight:  s.inflight.Load(),
 		Requests:  snap.Counters["daemon.requests"],
 		Errors:    snap.Counters["daemon.errors"],
-		Dedup:     snap.Counters["daemon.singleflight.dedup"],
 		Sessions:  s.Sessions(),
 		HasTracer: s.tracer != nil,
 		Inval: dashInval{
@@ -267,7 +265,6 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
 <div class="card"><b>{{.Errors}}</b>errors</div>
 <div class="card"><b>{{.Inflight}}</b>in flight</div>
 <div class="card"><b>{{.Workers}}</b>workers</div>
-<div class="card"><b>{{.Dedup}}</b>singleflight dedups</div>
 </div>
 
 <h2>Recent latency <span class="muted">({{.SparkN}} samples, peak {{.SparkMax}}; red dots are errors)</span></h2>

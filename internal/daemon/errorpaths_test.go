@@ -49,7 +49,7 @@ func TestCreateSessionForGeneratedSubject(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSessionFor: %v", err)
 	}
-	res, _, err := sess.Substitute(context.Background(), nil)
+	res, err := sess.Substitute(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("Substitute: %v", err)
 	}

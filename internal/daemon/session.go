@@ -3,7 +3,6 @@ package daemon
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -75,15 +74,6 @@ type Session struct {
 	wrappersDirty bool
 	// srcSet marks the subject's source files (incremental-edit targets).
 	srcSet map[string]bool
-	// edits records the session's current edit state (path → content
-	// hash); it keys the substitution memo and the cross-session
-	// singleflight.
-	edits map[string]string
-
-	// substMemo caches the last substitution result with the edit-state
-	// key it was computed under.
-	substMemo    *SubstituteResult
-	substMemoKey string
 
 	createdAt         time.Time
 	cycles            uint64
@@ -107,7 +97,6 @@ func newSession(name string, s *corpus.Subject, mode devcycle.Mode, cache *build
 		cache:     cache,
 		fs:        s.FS.Overlay(),
 		srcSet:    srcSet,
-		edits:     map[string]string{},
 		createdAt: time.Now(),
 	}
 }
@@ -162,7 +151,6 @@ func (s *Session) Edit(path, content string) EditResult {
 		return EditResult{} // touch-only save: nothing rebuilds
 	}
 	s.editCount++
-	s.edits[path] = newHash
 	res := EditResult{Changed: true, Structural: structural}
 	if !structural || s.setup == nil || s.stale {
 		return res
@@ -194,22 +182,6 @@ func (s *Session) Edit(path, content string) EditResult {
 // and generated outputs all visible).
 func (s *Session) ReadFile(path string) (string, error) {
 	return s.fs.Read(path)
-}
-
-// stateKeyLocked hashes the session's substitution-relevant identity:
-// subject, mode, header, and the current edit state. Two sessions with
-// equal keys are guaranteed byte-identical substitution results.
-func (s *Session) stateKeyLocked() string {
-	parts := []string{s.subject.Name, s.mode.String(), s.subject.Header}
-	paths := make([]string, 0, len(s.edits))
-	for p := range s.edits {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		parts = append(parts, p+"="+s.edits[p])
-	}
-	return buildcache.ConfigKey(parts...)
 }
 
 // ensurePreparedLocked (re-)prepares the development environment when
@@ -319,10 +291,8 @@ func (s *Session) Cycle(ctx context.Context, o *obs.Obs, newSymbol string) (*Cyc
 }
 
 // SubstituteResult is the daemon's substitution response: the generated
-// paths, the tool report, and the generated file contents (the contents
-// always travel internally so singleflight waiters can materialize them
-// into their own session trees; the API layer strips them unless the
-// client asked).
+// paths, the tool report, and the generated file contents (the API layer
+// strips them unless the client asked).
 type SubstituteResult struct {
 	LightweightPath string            `json:"lightweight_path"`
 	WrappersPath    string            `json:"wrappers_path"`
@@ -330,50 +300,20 @@ type SubstituteResult struct {
 	Report          core.Report       `json:"report"`
 	// Files maps every generated path to its content.
 	Files map[string]string `json:"files,omitempty"`
-	// Memoized is true when the result was served from the session's
-	// substitution memo (the edit state did not change since it was
-	// computed).
-	Memoized bool `json:"memoized"`
-	// Deduplicated is true when an identical concurrent request computed
-	// the result and this one only waited for it.
-	Deduplicated bool `json:"deduplicated"`
 }
 
-// clone returns a shallow-enough copy so per-request flags (Memoized,
-// Deduplicated) and API-layer stripping never mutate the shared memo.
-func (r *SubstituteResult) clone() *SubstituteResult {
-	cp := *r
-	return &cp
-}
-
-// Substitute runs the Header Substitution tool over the session tree, or
-// serves the memoized result when the edit state is unchanged. The
-// generated files are written into the session overlay (readable via
-// ReadFile afterwards).
-func (s *Session) Substitute(ctx context.Context, o *obs.Obs) (*SubstituteResult, string, error) {
+// Substitute runs the Header Substitution tool over the session tree
+// with exactly the options the one-shot cmd/yalla path uses, so outputs
+// are byte-identical to it. The generated files are written into the
+// session overlay (readable via ReadFile afterwards). A repeated request
+// re-runs the tool; the shared build cache serves its unchanged
+// translation units.
+func (s *Session) Substitute(ctx context.Context, o *obs.Obs) (*SubstituteResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := s.stateKeyLocked()
-	if s.substMemo != nil && s.substMemoKey == key {
-		res := s.substMemo.clone()
-		res.Memoized = true
-		return res, key, nil
-	}
 	if err := ctx.Err(); err != nil {
-		return nil, key, err
+		return nil, err
 	}
-	res, err := s.substituteLocked(o)
-	if err != nil {
-		return nil, key, err
-	}
-	s.substMemo = res
-	s.substMemoKey = key
-	return res.clone(), key, nil
-}
-
-// substituteLocked runs the tool with exactly the options the one-shot
-// cmd/yalla path uses, so outputs are byte-identical to it.
-func (s *Session) substituteLocked(o *obs.Obs) (*SubstituteResult, error) {
 	opts := core.Options{
 		FS:          s.fs,
 		SearchPaths: s.subject.SearchPaths,
@@ -428,22 +368,6 @@ func (s *Session) Check(ctx context.Context, o *obs.Obs, passes []string) (*chec
 		Obs:         o,
 	}
 	return check.Run(opts)
-}
-
-// adoptSubstitute installs a result computed by an identical concurrent
-// request: the generated files are written into this session's overlay
-// and the memo is refreshed, exactly as if the tool had run here.
-func (s *Session) adoptSubstitute(key string, res *SubstituteResult) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stateKeyLocked() != key {
-		return // an edit raced in; do not install a stale result
-	}
-	for p, content := range res.Files {
-		s.fs.Write(p, content)
-	}
-	s.substMemo = res.clone()
-	s.substMemoKey = key
 }
 
 // Info is a session's externally visible state.

@@ -524,7 +524,7 @@ func pathsOracle(res *Result, s *corpus.Subject, base map[string]string) {
 		res.addf("paths", "daemon: create session: %v", err)
 		return
 	}
-	dres, _, err := sess.Substitute(context.Background(), nil)
+	dres, err := sess.Substitute(context.Background(), nil)
 	if err != nil {
 		res.addf("paths", "daemon: substitute failed: %v", err)
 		return

@@ -177,59 +177,10 @@ func emitVirtualLanes(o *obs.Obs, r *SubjectResult) {
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
-// inflight is one subject's memoized (or in-progress) measurement.
-// Completion is signaled by closing done; res/err are immutable after.
-type inflight struct {
-	done chan struct{}
-	res  *SubjectResult
-	err  error
-}
-
-var (
-	cacheMu sync.Mutex
-	cache   = map[string]*inflight{}
-)
-
-// RunSubjectCached measures one subject under every mode, with no build
-// cache, memoized per subject name (the simulation is deterministic).
-// Concurrent callers for the same subject share one in-flight run
-// (singleflight) instead of duplicating the work.
-func RunSubjectCached(s *corpus.Subject) (*SubjectResult, error) {
-	return runSubjectShared(s, nil, nil)
-}
-
-func runSubjectShared(s *corpus.Subject, bc *buildcache.Cache, o *obs.Obs) (*SubjectResult, error) {
-	cacheMu.Lock()
-	if e, ok := cache[s.Name]; ok {
-		cacheMu.Unlock()
-		o.Counter("experiments.singleflight.dedup").Add(1)
-		<-e.done
-		return e.res, e.err
-	}
-	e := &inflight{done: make(chan struct{})}
-	cache[s.Name] = e
-	cacheMu.Unlock()
-
-	e.res, e.err = runSubject(s, bc, o)
-	if e.err != nil {
-		// Do not pin failures: a later caller retries. Waiters already
-		// holding e still observe this error.
-		cacheMu.Lock()
-		delete(cache, s.Name)
-		cacheMu.Unlock()
-	}
-	close(e.done)
-	return e.res, e.err
-}
-
-// ResetCache drops all memoized subject results. Intended for benchmarks
-// and tests that need a cold harness; not safe to call concurrently with
-// in-flight runs.
-func ResetCache() {
-	cacheMu.Lock()
-	cache = map[string]*inflight{}
-	cacheMu.Unlock()
-}
+// ResetCache does nothing. Subject results are not memoized across
+// runs: a run shares work only through its RunConfig.Cache. It is kept
+// because e2ebench, a module of its own, still calls it before a pass.
+func ResetCache() {}
 
 // RunConfig configures RunAllWith.
 type RunConfig struct {
@@ -251,10 +202,9 @@ type RunConfig struct {
 
 // RunAllWith measures the configured subjects on a bounded worker pool.
 // Results come back in presentation (corpus) order regardless of
-// completion order, and duplicate subjects are deduplicated via the
-// singleflight result cache. The first error stops the fan-out and is
-// returned — together with the partial results: every subject that
-// completed before the stop keeps its slot, unfinished subjects are nil.
+// completion order. The first error stops the fan-out and is returned —
+// together with the partial results: every subject that ran to
+// completion keeps its slot, failed and unstarted subjects are nil.
 // Callers that only care about the all-or-nothing contract can keep
 // ignoring the slice when err != nil.
 func RunAllWith(cfg RunConfig) ([]*SubjectResult, error) {
@@ -287,11 +237,18 @@ func RunAllWith(cfg RunConfig) ([]*SubjectResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
+				// The feeder's select may hand out one more index after
+				// the stop; skip it so no subject starts past an error.
+				select {
+				case <-stop:
+					continue
+				default:
+				}
 				s := subjects[i]
 				if cfg.Progress != nil {
 					cfg.Progress(s)
 				}
-				r, err := runSubjectShared(s, cfg.Cache, wo)
+				r, err := runSubject(s, cfg.Cache, wo)
 				if err != nil {
 					errOnce.Do(func() {
 						firstErr = err

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/buildcache"
@@ -10,15 +12,19 @@ import (
 	"repro/internal/vfs"
 )
 
-// condenseResult runs (and caches) the cheapest subject across the three
-// modes for the rendering tests.
-func condenseResult(t *testing.T) *SubjectResult {
-	t.Helper()
+// condense runs the cheapest subject across the three modes once per
+// test binary for the rendering tests.
+var condense = sync.OnceValues(func() (*SubjectResult, error) {
 	s := corpus.ByName("condense")
 	if s == nil {
-		t.Fatal("condense missing")
+		return nil, errors.New("condense missing")
 	}
-	r, err := RunSubjectCached(s)
+	return runSubject(s, nil, nil)
+})
+
+func condenseResult(t *testing.T) *SubjectResult {
+	t.Helper()
+	r, err := condense()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +53,6 @@ func TestRunSubjectAllModes(t *testing.T) {
 	}
 	if r.CycleSpeedup(devcycle.Yalla) <= 1 {
 		t.Fatalf("cycle speedup = %.2f", r.CycleSpeedup(devcycle.Yalla))
-	}
-}
-
-func TestRunSubjectCachedIsStable(t *testing.T) {
-	a := condenseResult(t)
-	b := condenseResult(t)
-	if a != b {
-		t.Fatal("cache miss on second run")
 	}
 }
 
@@ -173,15 +171,12 @@ func TestParallelAndCachedRunsAreByteIdentical(t *testing.T) {
 	}
 	run := func(jobs int, bc *buildcache.Cache) string {
 		t.Helper()
-		ResetCache()
 		res, err := RunAllWith(RunConfig{Jobs: jobs, Subjects: subjects, Cache: bc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return render(res)
 	}
-	defer ResetCache()
-
 	bc := buildcache.New()
 	uncached := run(1, nil)
 	coldCache := run(1, bc)
@@ -200,8 +195,6 @@ func TestParallelAndCachedRunsAreByteIdentical(t *testing.T) {
 // TestRunAllWithStopsOnFirstError checks error propagation from the
 // worker pool: a subject that cannot run fails the whole fan-out.
 func TestRunAllWithStopsOnFirstError(t *testing.T) {
-	defer ResetCache()
-	ResetCache()
 	bad := &corpus.Subject{Name: "broken-subject", Library: "none", FS: vfs.New(), MainFile: "absent.cpp"}
 	_, err := RunAllWith(RunConfig{Jobs: 4, Subjects: []*corpus.Subject{bad}})
 	if err == nil {

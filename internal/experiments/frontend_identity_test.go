@@ -20,8 +20,6 @@ func TestFrontendSpeedPassByteIdentical(t *testing.T) {
 
 	check := func(label string, bc *buildcache.Cache) {
 		t.Helper()
-		ResetCache()
-		defer ResetCache()
 		results, err := RunAllWith(RunConfig{Jobs: 4, Cache: bc})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

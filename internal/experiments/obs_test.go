@@ -30,10 +30,9 @@ type chromeTrace struct {
 // TestRunAllReturnsPartialResultsOnError checks the failure contract:
 // the first error stops the fan-out, but subjects that completed before
 // it keep their result slots (the failed and abandoned ones are nil), so
-// the caller can report progress and flush recorded observability.
+// the caller can report progress and flush recorded observability. At
+// -j 1 no subject may start after the failure.
 func TestRunAllReturnsPartialResultsOnError(t *testing.T) {
-	defer ResetCache()
-	ResetCache()
 	good := corpus.ByName("condense")
 	if good == nil {
 		t.Fatal("subject condense missing from corpus")
@@ -59,17 +58,12 @@ func TestRunAllReturnsPartialResultsOnError(t *testing.T) {
 	if out[1] != nil {
 		t.Error("failed subject has a non-nil result")
 	}
-	done := 0
-	for _, r := range out {
-		if r != nil {
-			done++
-		}
+	if out[2] != nil {
+		t.Error("a subject queued behind the failure ran")
 	}
-	// The metrics recorded up to the failure must survive it. The third
-	// slot is the same subject as the first, so its completion (it can
-	// race the stop signal) is served from the memo, not re-counted.
+	// The metrics recorded up to the failure must survive it.
 	if got := reg.Snapshot().Counters["experiments.subjects"]; got != 1 {
-		t.Errorf("experiments.subjects counter = %d, want 1 (%d slots filled)", got, done)
+		t.Errorf("experiments.subjects counter = %d, want 1", got)
 	}
 }
 
@@ -80,8 +74,6 @@ func TestRunAllReturnsPartialResultsOnError(t *testing.T) {
 // metrics snapshot whose buildcache counters equal the cache's own
 // Stats() totals.
 func TestObsRunTraceAndMetrics(t *testing.T) {
-	defer ResetCache()
-	ResetCache()
 	s := corpus.ByName("condense")
 	if s == nil {
 		t.Fatal("subject condense missing from corpus")
@@ -228,8 +220,6 @@ func contains2(xs []string, want string) bool {
 // every subject × mode, per-mode totals that equal the row sums, and a
 // cache section priced from TokensSaved.
 func TestAttributionReport(t *testing.T) {
-	defer ResetCache()
-	ResetCache()
 	s := corpus.ByName("condense")
 	bc := buildcache.New()
 	res, err := RunAllWith(RunConfig{Jobs: 1, Subjects: []*corpus.Subject{s}, Cache: bc})
