@@ -562,13 +562,16 @@ func (c *Cache) evictTokensLocked() {
 // TranslationUnit returns a cached TU for the configuration key whose
 // dependency manifest validates (every Dep with a Hash must report the
 // same hash via valid; every Dep without one must still be absent), or
-// builds one. build returns the TU plus the manifest to record. The
-// returned bool reports whether the result came from the cache.
+// builds one. build receives the parsed tree the key holds, if any (see
+// the package comment), and returns the TU plus the manifest to record.
+// The returned bool reports whether the result came from the cache.
 //
 // Concurrent misses on the same key are deduplicated: one caller builds,
 // the others wait and re-validate (their filesystems may differ, in
-// which case they build their own variant).
-func (c *Cache) TranslationUnit(key string, valid func(Dep) bool, build func() (*TU, []Dep, error)) (*TU, bool, error) {
+// which case they build their own variant). o records a
+// "buildcache.wait" span around each such wait, and a "lease.wait" span
+// around a remote lease.
+func (c *Cache) TranslationUnit(key string, o *obs.Obs, valid func(Dep) bool, build func(held *ast.TranslationUnit) (*TU, []Dep, error)) (*TU, bool, error) {
 	start := time.Now()
 	for {
 		c.mu.Lock()
@@ -577,7 +580,7 @@ func (c *Cache) TranslationUnit(key string, valid func(Dep) bool, build func() (
 		c.mu.Unlock()
 
 		for _, e := range entries {
-			if depsValid(e.deps, valid) {
+			if DepsValid(e.deps, valid) {
 				c.mu.Lock()
 				c.stats.TUHits++
 				if e.val.Result != nil {
@@ -602,7 +605,7 @@ func (c *Cache) TranslationUnit(key string, valid func(Dep) bool, build func() (
 			c.mu.Lock()
 			c.ins.singleflight.Add(1)
 			c.mu.Unlock()
-			<-fl.done
+			waitFlight(o, fl)
 			continue // someone just built this key; re-validate
 		}
 
@@ -610,17 +613,18 @@ func (c *Cache) TranslationUnit(key string, valid func(Dep) bool, build func() (
 		if fl2 := c.tuFlights[key]; fl2 != nil {
 			c.ins.singleflight.Add(1)
 			c.mu.Unlock()
-			<-fl2.done
+			waitFlight(o, fl2)
 			continue
 		}
 		mine := &flight{done: make(chan struct{})}
 		c.tuFlights[key] = mine
+		held := c.heldTreeLocked(key)
 		c.mu.Unlock()
 
 		// This goroutine owns the node-local build for the key; with a
 		// remote tier attached it first tries L2, and coordinates the
 		// actual build through the fleet-wide lease.
-		val, deps, fromRemote, err := c.buildOrRemoteTU(key, valid, build)
+		val, deps, fromRemote, err := c.buildOrRemoteTU(key, o, valid, func() (*TU, []Dep, error) { return build(held) })
 		c.mu.Lock()
 		delete(c.tuFlights, key)
 		if err == nil {
@@ -637,6 +641,25 @@ func (c *Cache) TranslationUnit(key string, valid func(Dep) bool, build func() (
 		close(mine.done)
 		return val, fromRemote, err
 	}
+}
+
+// waitFlight blocks until another caller's build of the same key
+// finishes, recording the wait as a "buildcache.wait" span on o.
+func waitFlight(o *obs.Obs, fl *flight) {
+	sp := o.Start("buildcache.wait")
+	<-fl.done
+	sp.End()
+}
+
+// heldTreeLocked returns the parsed tree the key holds, or nil. Caller
+// holds c.mu.
+func (c *Cache) heldTreeLocked(key string) *ast.TranslationUnit {
+	for _, e := range c.tus[key] {
+		if tree := e.val.tree.Load(); tree != nil {
+			return tree
+		}
+	}
+	return nil
 }
 
 // remoteFetchTU tries to satisfy a TU miss from the remote tier: fetch,
@@ -659,7 +682,7 @@ func (c *Cache) remoteFetchTU(key string, valid func(Dep) bool) (*TU, []Dep, boo
 		c.countRemoteError()
 		return nil, nil, false
 	}
-	if !depsValid(deps, valid) {
+	if !DepsValid(deps, valid) {
 		// The fleet's entry was built against different file contents
 		// (another session's overlay); for us it is a miss.
 		c.countRemoteMiss()
@@ -694,7 +717,7 @@ func (c *Cache) publishTU(key string, val *TU, deps []Dep) {
 // tier: L2 fetch first, then the fleet-wide lease — the winner builds
 // and publishes, losers wait for the release and re-fetch, and every
 // backend failure degrades to a plain local build.
-func (c *Cache) buildOrRemoteTU(key string, valid func(Dep) bool, build func() (*TU, []Dep, error)) (*TU, []Dep, bool, error) {
+func (c *Cache) buildOrRemoteTU(key string, o *obs.Obs, valid func(Dep) bool, build func() (*TU, []Dep, error)) (*TU, []Dep, bool, error) {
 	if c.Remote == nil {
 		val, deps, err := build()
 		return val, deps, false, err
@@ -715,11 +738,14 @@ func (c *Cache) buildOrRemoteTU(key string, valid func(Dep) bool, build func() (
 		return val, deps, err
 	}
 
+	sp := o.Start("lease.wait")
 	st, err := c.Remote.Lease(NSTU, key)
 	if err != nil {
 		c.countRemoteError()
 		st = LeaseUnavailable
 	}
+	sp.SetStr("status", st.String())
+	sp.End()
 	switch st {
 	case LeaseGranted:
 		c.mu.Lock()
@@ -849,7 +875,9 @@ func (c *Cache) evictTULocked(e *tuEntry) {
 	c.ins.evictedBytes.Add(uint64(n))
 }
 
-func depsValid(deps []Dep, valid func(Dep) bool) bool {
+// DepsValid reports whether every entry of a dependency manifest
+// validates (see Validator).
+func DepsValid(deps []Dep, valid func(Dep) bool) bool {
 	for _, d := range deps {
 		if !valid(d) {
 			return false

@@ -1,13 +1,17 @@
 package buildcache
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/cpp/ast"
 	"repro/internal/cpp/lexer"
 	"repro/internal/cpp/token"
 	"repro/internal/obs"
@@ -158,7 +162,7 @@ func TestTranslationUnitManifestValidation(t *testing.T) {
 	})
 	c := New()
 	builds := 0
-	build := func() (*TU, []Dep, error) {
+	build := func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		builds++
 		h1, _ := fs.ContentHash("main.cpp")
 		h2, _ := fs.ContentHash("a.hpp")
@@ -170,23 +174,23 @@ func TestTranslationUnitManifestValidation(t *testing.T) {
 	}
 	key := ConfigKey("compilesim", "main.cpp")
 
-	if _, hit, err := c.TranslationUnit(key, Validator(fs), build); err != nil || hit {
+	if _, hit, err := c.TranslationUnit(key, nil, Validator(fs), build); err != nil || hit {
 		t.Fatalf("first call: hit=%v err=%v", hit, err)
 	}
-	if _, hit, err := c.TranslationUnit(key, Validator(fs), build); err != nil || !hit {
+	if _, hit, err := c.TranslationUnit(key, nil, Validator(fs), build); err != nil || !hit {
 		t.Fatalf("unchanged inputs: hit=%v err=%v, want hit", hit, err)
 	}
 
 	// A clone with identical content still hits: the manifest is
 	// content-addressed, not FS-identity-addressed.
-	if _, hit, _ := c.TranslationUnit(key, Validator(fs.Clone()), build); !hit {
+	if _, hit, _ := c.TranslationUnit(key, nil, Validator(fs.Clone()), build); !hit {
 		t.Fatal("identical clone should hit")
 	}
 
 	// Editing a recorded dependency invalidates the entry.
 	fs2 := fs.Clone()
 	fs2.Write("a.hpp", "int a();\nint b();\n")
-	if _, hit, _ := c.TranslationUnit(key, Validator(fs2), build); hit {
+	if _, hit, _ := c.TranslationUnit(key, nil, Validator(fs2), build); hit {
 		t.Fatal("edited dependency must miss")
 	}
 
@@ -194,7 +198,7 @@ func TestTranslationUnitManifestValidation(t *testing.T) {
 	// invalidates the entry (include resolution would now differ).
 	fs3 := fs.Clone()
 	fs3.Write("local/a.hpp", "int shadow();\n")
-	if _, hit, _ := c.TranslationUnit(key, Validator(fs3), build); hit {
+	if _, hit, _ := c.TranslationUnit(key, nil, Validator(fs3), build); hit {
 		t.Fatal("violated negative dep must miss")
 	}
 	if builds != 3 {
@@ -208,7 +212,7 @@ func TestTranslationUnitVariantEviction(t *testing.T) {
 	key := ConfigKey("k")
 	never := func(Dep) bool { return false }
 	for i := 0; i < 5; i++ {
-		_, _, err := c.TranslationUnit(key, never, func() (*TU, []Dep, error) {
+		_, _, err := c.TranslationUnit(key, nil, never, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 			return &TU{}, []Dep{{Path: "p", Hash: "h"}}, nil
 		})
 		if err != nil {
@@ -228,12 +232,12 @@ func TestTranslationUnitErrorNotCached(t *testing.T) {
 	key := ConfigKey("k")
 	boom := errors.New("boom")
 	always := func(Dep) bool { return true }
-	if _, _, err := c.TranslationUnit(key, always, func() (*TU, []Dep, error) {
+	if _, _, err := c.TranslationUnit(key, nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		return nil, nil, boom
 	}); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, hit, err := c.TranslationUnit(key, always, func() (*TU, []Dep, error) {
+	if _, hit, err := c.TranslationUnit(key, nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		return &TU{}, nil, nil
 	}); err != nil || hit {
 		t.Fatalf("after failure: hit=%v err=%v, want fresh build", hit, err)
@@ -242,17 +246,31 @@ func TestTranslationUnitErrorNotCached(t *testing.T) {
 
 func TestTranslationUnitSingleflight(t *testing.T) {
 	c := New()
+	reg := obs.NewRegistry()
+	c.AttachMetrics(obs.New(nil, reg))
+	dedup := reg.Counter("buildcache.singleflight.dedup")
+	tracer := obs.NewTracer(nil)
+	root := obs.New(tracer, nil)
 	key := ConfigKey("k")
 	var builds atomic.Int64
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
+		o := root.Lane(fmt.Sprintf("caller %d", i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			_, _, err := c.TranslationUnit(key, func(Dep) bool { return true }, func() (*TU, []Dep, error) {
+			_, _, err := c.TranslationUnit(key, o, func(Dep) bool { return true }, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 				builds.Add(1)
+				sp := o.Start("build")
+				defer sp.End()
+				// Finish only once the seven others wait, and give them
+				// time to open their wait spans.
+				for dedup.Value() < 7 {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(20 * time.Millisecond)
 				return &TU{}, []Dep{{Path: "p", Hash: "h"}}, nil
 			})
 			if err != nil {
@@ -269,6 +287,47 @@ func TestTranslationUnitSingleflight(t *testing.T) {
 	if st.TUMisses != 1 || st.TUHits != 7 {
 		t.Fatalf("stats = %+v, want 1 miss / 7 hits", st)
 	}
+
+	// Each waiter's buildcache.wait span covers the build it waited for.
+	var buildEnd float64
+	var waits [][2]float64
+	for _, ev := range spans(t, tracer) {
+		switch ev.Name {
+		case "build":
+			buildEnd = ev.Ts + ev.Dur
+		case "buildcache.wait":
+			waits = append(waits, [2]float64{ev.Ts, ev.Ts + ev.Dur})
+		}
+	}
+	if len(waits) != 7 {
+		t.Fatalf("%d buildcache.wait spans, want one per waiter (7)", len(waits))
+	}
+	for _, w := range waits {
+		if w[0] > buildEnd-15e3 || w[1] < buildEnd {
+			t.Errorf("wait span [%.0f, %.0f] µs does not cover the build's last 15 ms (it ended at %.0f µs)", w[0], w[1], buildEnd)
+		}
+	}
+}
+
+// span is one complete span of an exported trace.
+type span struct {
+	Name    string
+	Ts, Dur float64 // µs
+	Args    map[string]any
+}
+
+// spans returns the spans tracer recorded.
+func spans(t *testing.T, tracer *obs.Tracer) []span {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tracer.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct{ TraceEvents []span }
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	return trace.TraceEvents
 }
 
 func TestFileKeyAndConfigKey(t *testing.T) {
@@ -291,7 +350,7 @@ func TestTranslationUnitGlobalLRUEviction(t *testing.T) {
 	add := func(name string) {
 		t.Helper()
 		built := false
-		_, cached, err := c.TranslationUnit(ConfigKey(name), always, func() (*TU, []Dep, error) {
+		_, cached, err := c.TranslationUnit(ConfigKey(name), nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 			built = true
 			return &TU{Aux: name}, []Dep{{Path: name, Hash: "h"}}, nil
 		})
@@ -304,7 +363,7 @@ func TestTranslationUnitGlobalLRUEviction(t *testing.T) {
 	}
 	hit := func(name string) bool {
 		t.Helper()
-		val, cached, err := c.TranslationUnit(ConfigKey(name), always, func() (*TU, []Dep, error) {
+		val, cached, err := c.TranslationUnit(ConfigKey(name), nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 			return &TU{Aux: name}, []Dep{{Path: name, Hash: "h"}}, nil
 		})
 		if err != nil {
@@ -343,7 +402,7 @@ func TestTranslationUnitLRUEvictionCounterInRegistry(t *testing.T) {
 	c.AttachMetrics(obs.New(nil, reg))
 	always := func(Dep) bool { return true }
 	for _, name := range []string{"a", "b", "c"} {
-		if _, _, err := c.TranslationUnit(ConfigKey(name), always, func() (*TU, []Dep, error) {
+		if _, _, err := c.TranslationUnit(ConfigKey(name), nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 			return &TU{}, nil, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -365,7 +424,7 @@ func TestTranslationUnitLRUDisabledByDefault(t *testing.T) {
 	c := New()
 	always := func(Dep) bool { return true }
 	for i := 0; i < 50; i++ {
-		if _, _, err := c.TranslationUnit(ConfigKey(fmt.Sprintf("k%d", i)), always, func() (*TU, []Dep, error) {
+		if _, _, err := c.TranslationUnit(ConfigKey(fmt.Sprintf("k%d", i)), nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 			return &TU{}, nil, nil
 		}); err != nil {
 			t.Fatal(err)

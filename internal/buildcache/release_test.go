@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cpp/ast"
 	"repro/internal/cpp/parser"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/obs"
@@ -79,10 +80,11 @@ func checkOneTree(t *testing.T, c *Cache, key string, reg *obs.Registry) []int {
 }
 
 // TestReleaseKeepsOneTreePerKey inserts three variants of one key, each
-// built with a tree: only the newest keeps it, the cache charges three
-// token shares and one tree share, and a tree consumer that hits the
-// oldest variant gets back, through one re-parse, a tree of the shape
-// it had — which then becomes the key's only tree.
+// built with a tree: each build is handed the tree the key held, only
+// the newest variant keeps its tree, the cache charges three token
+// shares and one tree share, and a tree consumer that hits the oldest
+// variant gets back, through one re-parse, a tree of the shape it had —
+// which then becomes the key's only tree, the one the next build gets.
 func TestReleaseKeepsOneTreePerKey(t *testing.T) {
 	c := New()
 	reg := obs.NewRegistry()
@@ -90,7 +92,10 @@ func TestReleaseKeepsOneTreePerKey(t *testing.T) {
 	key := ConfigKey("k")
 	var built []*TU
 	for i := 0; i < 3; i++ {
-		if _, cached, err := c.TranslationUnit(key, variantValid(i), func() (*TU, []Dep, error) {
+		if _, cached, err := c.TranslationUnit(key, nil, variantValid(i), func(held *ast.TranslationUnit) (*TU, []Dep, error) {
+			if i == 0 && held != nil || i > 0 && held != built[i-1].Unit(nil) {
+				t.Errorf("build %d was handed tree %p, want the previous variant's", i, held)
+			}
 			tu, deps := variant(t, i)
 			built = append(built, tu)
 			return tu, deps, nil
@@ -110,7 +115,7 @@ func TestReleaseKeepsOneTreePerKey(t *testing.T) {
 		t.Fatalf("ResidentBytes = %d, want three token shares plus one tree share = %d", got, want)
 	}
 
-	oldest, cached, err := c.TranslationUnit(key, variantValid(0), func() (*TU, []Dep, error) {
+	oldest, cached, err := c.TranslationUnit(key, nil, variantValid(0), func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		t.Fatal("rebuilt a cached variant")
 		return nil, nil, nil
 	})
@@ -134,6 +139,15 @@ func TestReleaseKeepsOneTreePerKey(t *testing.T) {
 	if holders := checkOneTree(t, c, key, reg); len(holders) != 1 || holders[0] != 0 {
 		t.Fatalf("tree holders = %v after the re-parse, want only the oldest variant (0)", holders)
 	}
+	if _, _, err := c.TranslationUnit(key, nil, variantValid(3), func(held *ast.TranslationUnit) (*TU, []Dep, error) {
+		if held != tree {
+			t.Errorf("build after the re-parse was handed tree %p, want the re-parsed %p", held, tree)
+		}
+		tu, deps := variant(t, 3)
+		return tu, deps, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestReleaseRacesUnit has goroutines read trees of older variants
@@ -155,7 +169,7 @@ func TestReleaseRacesUnit(t *testing.T) {
 	c.AttachMetrics(obs.New(nil, reg))
 	key := ConfigKey("k")
 	get := func(i int) *TU {
-		val, _, err := c.TranslationUnit(key, variantValid(i), func() (*TU, []Dep, error) {
+		val, _, err := c.TranslationUnit(key, nil, variantValid(i), func(*ast.TranslationUnit) (*TU, []Dep, error) {
 			return NewTU(tus[i].Result, tus[i].Unit(nil), nil), deps[i], nil
 		})
 		if err != nil {
@@ -194,13 +208,13 @@ func TestReleaseAdoptedEntryChargesNoTree(t *testing.T) {
 	a, b := New(), New()
 	a.Remote, b.Remote = be, be
 	key := ConfigKey("k")
-	if _, _, err := a.TranslationUnit(key, variantValid(0), func() (*TU, []Dep, error) {
+	if _, _, err := a.TranslationUnit(key, nil, variantValid(0), func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		tu, deps := variant(t, 0)
 		return tu, deps, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, cached, err := b.TranslationUnit(key, variantValid(0), func() (*TU, []Dep, error) {
+	got, cached, err := b.TranslationUnit(key, nil, variantValid(0), func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		t.Fatal("node B built despite a remote hit")
 		return nil, nil, nil
 	})

@@ -2,6 +2,7 @@ package buildcache
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cpp/ast"
 	"repro/internal/cpp/lexer"
 	"repro/internal/cpp/token"
 	"repro/internal/obs"
@@ -130,13 +132,13 @@ func TestRemoteTUAdoptedAcrossCaches(t *testing.T) {
 	always := func(Dep) bool { return true }
 	key := ConfigKey("k")
 
-	val, cached, err := a.TranslationUnit(key, always, func() (*TU, []Dep, error) {
+	val, cached, err := a.TranslationUnit(key, nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		return tu, deps, nil
 	})
 	if err != nil || cached {
 		t.Fatalf("node A: cached=%v err=%v, want a local build", cached, err)
 	}
-	got, cached, err := b.TranslationUnit(key, always, func() (*TU, []Dep, error) {
+	got, cached, err := b.TranslationUnit(key, nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		t.Fatal("node B built despite a remote hit")
 		return nil, nil, nil
 	})
@@ -167,7 +169,7 @@ func TestRemoteTUAdoptedAcrossCaches(t *testing.T) {
 	// Node B's local tier now holds the adopted entry: a second request
 	// is an L1 hit, no remote traffic.
 	gets := be.gets.Load()
-	if _, cached, _ := b.TranslationUnit(key, always, nil); !cached {
+	if _, cached, _ := b.TranslationUnit(key, nil, always, nil); !cached {
 		t.Fatal("adopted entry did not populate L1")
 	}
 	if be.gets.Load() != gets {
@@ -188,16 +190,19 @@ func TestRemoteLeaseExactlyOnceAcrossFleet(t *testing.T) {
 	always := func(Dep) bool { return true }
 	key := ConfigKey("k")
 
+	tracer := obs.NewTracer(nil)
+	root := obs.New(tracer, nil)
 	var builds atomic.Int64
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, c := range caches {
 		for j := 0; j < clientsPerNode; j++ {
+			o := root.Lane(fmt.Sprintf("client %d", j))
 			wg.Add(1)
 			go func(c *Cache) {
 				defer wg.Done()
 				<-start
-				_, _, err := c.TranslationUnit(key, always, func() (*TU, []Dep, error) {
+				_, _, err := c.TranslationUnit(key, o, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 					builds.Add(1)
 					time.Sleep(10 * time.Millisecond) // widen the race window
 					return tu, deps, nil
@@ -227,6 +232,17 @@ func TestRemoteLeaseExactlyOnceAcrossFleet(t *testing.T) {
 	if remoteHits != nodes-1 {
 		t.Fatalf("remote TU hits = %d, want %d (one adoption per losing node)", remoteHits, nodes-1)
 	}
+	// Every lease a node asked for shows as a lease.wait span with its
+	// outcome: the one grant, and releases for the nodes that waited.
+	status := map[any]int{}
+	for _, sp := range spans(t, tracer) {
+		if sp.Name == "lease.wait" {
+			status[sp.Args["status"]]++
+		}
+	}
+	if status["granted"] != 1 || len(status) > 2 || status["granted"]+status["released"] > nodes {
+		t.Fatalf("lease.wait spans by status = %v, want one granted and at most %d released", status, nodes-1)
+	}
 }
 
 func TestRemoteErrorsDegradeToLocal(t *testing.T) {
@@ -244,7 +260,7 @@ func TestRemoteErrorsDegradeToLocal(t *testing.T) {
 	if err != nil || len(toks) == 0 {
 		t.Fatalf("token path failed with remote down: %v", err)
 	}
-	val, cached, err := c.TranslationUnit(ConfigKey("k"), always, func() (*TU, []Dep, error) {
+	val, cached, err := c.TranslationUnit(ConfigKey("k"), nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		return tu, deps, nil
 	})
 	if err != nil || cached || val == nil {
@@ -255,7 +271,7 @@ func TestRemoteErrorsDegradeToLocal(t *testing.T) {
 	}
 	// The dead backend also failed the lease; the entry must still be
 	// served from L1 afterwards.
-	if _, cached, _ := c.TranslationUnit(ConfigKey("k"), always, nil); !cached {
+	if _, cached, _ := c.TranslationUnit(ConfigKey("k"), nil, always, nil); !cached {
 		t.Fatal("local tier lost the entry built under a dead remote")
 	}
 }
@@ -267,14 +283,14 @@ func TestRemoteCorruptPayloadFallsBackToBuild(t *testing.T) {
 	tu, deps := realTU(t)
 	always := func(Dep) bool { return true }
 	key := ConfigKey("k")
-	if _, _, err := a.TranslationUnit(key, always, func() (*TU, []Dep, error) {
+	if _, _, err := a.TranslationUnit(key, nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		return tu, deps, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	be.corrupt = true
 	builds := 0
-	val, cached, err := b.TranslationUnit(key, always, func() (*TU, []Dep, error) {
+	val, cached, err := b.TranslationUnit(key, nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		builds++
 		return tu, deps, nil
 	})
@@ -297,7 +313,7 @@ func TestRemoteStaleManifestIsMiss(t *testing.T) {
 	key := ConfigKey("k")
 	always := func(Dep) bool { return true }
 	never := func(Dep) bool { return false }
-	if _, _, err := a.TranslationUnit(key, always, func() (*TU, []Dep, error) {
+	if _, _, err := a.TranslationUnit(key, nil, always, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		return tu, deps, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -305,7 +321,7 @@ func TestRemoteStaleManifestIsMiss(t *testing.T) {
 	// Node B's tree differs (validator rejects the manifest): the remote
 	// entry must not be served; B builds and publishes its own variant.
 	builds := 0
-	if _, cached, err := b.TranslationUnit(key, never, func() (*TU, []Dep, error) {
+	if _, cached, err := b.TranslationUnit(key, nil, never, func(*ast.TranslationUnit) (*TU, []Dep, error) {
 		builds++
 		return tu, nil, nil
 	}); err != nil || cached || builds != 1 {

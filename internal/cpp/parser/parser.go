@@ -9,6 +9,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cpp/ast"
 	"repro/internal/cpp/token"
@@ -20,6 +21,9 @@ type Parser struct {
 	toks []token.Token
 	pos  int
 	errs []error
+	// pastEnd records that a read fell off the end of toks. ParseSplit
+	// uses it to find the declarations a cut stream could not complete.
+	pastEnd bool
 	// class stack for nested-class parenting
 	classStack []*ast.ClassDecl
 	// arena batch-allocates the AST nodes of this translation unit; the
@@ -44,23 +48,147 @@ func (p *Parser) Parse() (*ast.TranslationUnit, error) {
 	sp.SetInt("tokens", int64(len(p.toks)))
 	defer sp.End()
 	tu := &ast.TranslationUnit{}
+	p.parseDecls(tu)
+	return p.finish(tu, sp)
+}
+
+// parseDecls parses top-level declarations into tu until EOF.
+func (p *Parser) parseDecls(tu *ast.TranslationUnit) {
 	for !p.at(token.EOF) {
-		start := p.pos
-		d := p.parseDecl()
-		if d != nil {
-			tu.Decls = append(tu.Decls, d)
-		}
-		if p.pos == start {
-			p.errorf("stuck at token %v", p.cur())
-			p.next()
-		}
+		p.parseTopDecl(tu)
 	}
+}
+
+// parseTopDecl parses one top-level declaration into tu.
+func (p *Parser) parseTopDecl(tu *ast.TranslationUnit) {
+	start := p.pos
+	d := p.parseDecl()
+	if d != nil {
+		tu.Decls = append(tu.Decls, d)
+	}
+	if p.pos == start {
+		p.errorf("stuck at token %v", p.cur())
+		p.next()
+	}
+}
+
+// finish records the parse of tu and returns it with the first error.
+func (p *Parser) finish(tu *ast.TranslationUnit, sp *obs.Span) (*ast.TranslationUnit, error) {
 	sp.SetInt("decls", int64(len(tu.Decls)))
 	p.Obs.Counter("parser.units").Add(1)
 	if len(p.errs) > 0 {
 		return tu, p.errs[0]
 	}
 	return tu, nil
+}
+
+// Resume is where a parse split at a token count n picks up: the
+// top-level declarations that read no token at index n or beyond, and
+// the index, in the unsplit stream, of the first one that did. Any
+// stream that begins with the same n tokens parses to those
+// declarations followed by the parse of its tokens from that index on;
+// ParseFrom parses it that way. A Resume is immutable and may be shared.
+type Resume struct {
+	// Decls are the reusable declarations, shared by every tree parsed
+	// from the Resume.
+	Decls []ast.Decl
+	errs  []error
+	at    int
+	// shr lists, ascending, the '>>' tokens at index at or beyond that
+	// the reusable declarations split into '> >' (see splitShr).
+	shr []int
+}
+
+// ParseSplit is Parse, done in two phases: it first parses the stream
+// cut after n tokens, keeps the declarations that never read past the
+// cut, and continues on the full stream from the start of the first one
+// that did, dropping that declaration's first-phase errors. The tree and
+// error are Parse's; the Resume records the split for ParseFrom, and is
+// nil when the reusable declarations cannot be replayed.
+func (p *Parser) ParseSplit(n int) (*ast.TranslationUnit, *Resume, error) {
+	sp := p.Obs.Start("parse")
+	sp.SetInt("tokens", int64(len(p.toks)))
+	defer sp.End()
+	full := p.toks
+	if n > len(full) {
+		n = len(full)
+	}
+	tu := &ast.TranslationUnit{}
+	p.toks = full[:n]
+	var cut []token.Token
+	var start int
+	for {
+		cut, start = p.toks, p.pos
+		if p.at(token.EOF) {
+			break
+		}
+		ndecls, nerrs := len(tu.Decls), len(p.errs)
+		p.pastEnd = false
+		p.parseTopDecl(tu)
+		if p.pastEnd {
+			tu.Decls, p.errs = tu.Decls[:ndecls], p.errs[:nerrs]
+			break
+		}
+	}
+	// Continue on the full stream from start: cut, the stream as the
+	// reusable declarations left it, followed by the rest.
+	r := &Resume{Decls: slices.Clip(tu.Decls), errs: slices.Clip(p.errs)}
+	if len(cut) == n {
+		p.toks = full
+		r.at = start
+	} else {
+		p.toks = append(cut[:len(cut):len(cut)], full[n:]...)
+		r = r.mapSplits(cut, full[:n], start)
+	}
+	p.pos = start
+	p.parseDecls(tu)
+	tu, err := p.finish(tu, sp)
+	return tu, r, err
+}
+
+// mapSplits sets r.at to the index in orig of index start in cut, a
+// copy of orig in which splitShr replaced some '>>' tokens by two '>',
+// and records those at r.at or beyond in r.shr. It returns nil when
+// start falls between the halves of a split '>>'.
+func (r *Resume) mapSplits(cut, orig []token.Token, start int) *Resume {
+	i, j := 0, 0
+	for ; i < len(cut); i, j = i+1, j+1 {
+		if i == start {
+			r.at = j
+		}
+		if j < len(orig) && orig[j].Kind == token.Shr && cut[i].Kind == token.Greater {
+			if i+1 == start {
+				return nil
+			}
+			if i >= start {
+				r.shr = append(r.shr, j)
+			}
+			i++
+		}
+	}
+	if i == start {
+		r.at = j
+	}
+	return r
+}
+
+// ParseFrom parses p's stream, which must begin with the tokens r was
+// split at, to the tree Parse would: r's declarations, then a parse of
+// the stream from r's index on.
+func (p *Parser) ParseFrom(r *Resume) (*ast.TranslationUnit, error) {
+	sp := p.Obs.Start("parse")
+	sp.SetInt("tokens", int64(len(p.toks)))
+	sp.SetInt("resumed", 1)
+	defer sp.End()
+	tu := &ast.TranslationUnit{Decls: slices.Clone(r.Decls)}
+	p.errs = slices.Clone(r.errs)
+	for k := len(r.shr) - 1; k >= 0; k-- {
+		p.pos = r.shr[k]
+		p.splitShr()
+	}
+	p.pos = r.at
+	p.parseDecls(tu)
+	return p.finish(tu, sp)
 }
 
 // ------------------------------------------------------------ utilities
@@ -113,10 +241,14 @@ var (
 	kwWhile        = token.Intern("while")
 )
 
+// The readers below return EOF past the end of the stream and record
+// that they did (see pastEnd); in range they do nothing else.
+
 func (p *Parser) cur() token.Token {
 	if p.pos < len(p.toks) {
 		return p.toks[p.pos]
 	}
+	p.pastEnd = true
 	return token.Token{Kind: token.EOF}
 }
 
@@ -127,6 +259,7 @@ func (p *Parser) curKind() token.Kind {
 	if p.pos < len(p.toks) {
 		return p.toks[p.pos].Kind
 	}
+	p.pastEnd = true
 	return token.EOF
 }
 
@@ -134,6 +267,7 @@ func (p *Parser) curPos() token.Pos {
 	if p.pos < len(p.toks) {
 		return p.toks[p.pos].Pos
 	}
+	p.pastEnd = true
 	return token.Pos{}
 }
 
@@ -141,6 +275,7 @@ func (p *Parser) curEnd() token.Pos {
 	if p.pos < len(p.toks) {
 		return p.toks[p.pos].End()
 	}
+	p.pastEnd = true
 	return token.Pos{}
 }
 
@@ -148,6 +283,7 @@ func (p *Parser) peekN(n int) token.Token {
 	if p.pos+n < len(p.toks) {
 		return p.toks[p.pos+n]
 	}
+	p.pastEnd = true
 	return token.Token{Kind: token.EOF}
 }
 
@@ -155,6 +291,7 @@ func (p *Parser) peekKind(n int) token.Kind {
 	if p.pos+n < len(p.toks) {
 		return p.toks[p.pos+n].Kind
 	}
+	p.pastEnd = true
 	return token.EOF
 }
 
@@ -162,6 +299,7 @@ func (p *Parser) at(k token.Kind) bool {
 	if p.pos < len(p.toks) {
 		return p.toks[p.pos].Kind == k
 	}
+	p.pastEnd = true
 	return k == token.EOF
 }
 
@@ -173,6 +311,7 @@ func (p *Parser) atWord(w string) bool { return p.cur().Is(w) }
 // hand-built tests) have no symbol and fall back to the spelling.
 func (p *Parser) atSym(sym token.Symbol, w string) bool {
 	if p.pos >= len(p.toks) {
+		p.pastEnd = true
 		return false
 	}
 	t := &p.toks[p.pos]
@@ -191,6 +330,7 @@ func (p *Parser) next() token.Token {
 		p.pos++
 		return t
 	}
+	p.pastEnd = true
 	return token.Token{Kind: token.EOF}
 }
 

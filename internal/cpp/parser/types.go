@@ -40,6 +40,7 @@ var combinableSyms = func() []bool {
 // type keyword, preferring the symbol table over the string map.
 func (p *Parser) atCombinable() bool {
 	if p.pos >= len(p.toks) {
+		p.pastEnd = true
 		return false
 	}
 	t := &p.toks[p.pos]

@@ -200,7 +200,14 @@ func (pp *Preprocessor) fileTokens(file string) ([]token.Token, error) {
 	if err != nil {
 		return nil, err
 	}
+	return pp.lexFile(file, src)
+}
+
+// lexFile lexes src, the content of file, through the token cache when
+// one is set.
+func (pp *Preprocessor) lexFile(file, src string) ([]token.Token, error) {
 	var toks []token.Token
+	var err error
 	if pp.Cache != nil {
 		toks, err = pp.Cache.Tokens(file, src, func() ([]token.Token, error) {
 			return lexer.Tokenize(file, src)

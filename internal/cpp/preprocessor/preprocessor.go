@@ -127,6 +127,9 @@ type Preprocessor struct {
 	hideScratch []token.Symbol
 	// Resolved-once metric instruments (nil when Obs is nil).
 	cFiles *obs.Counter
+	// captured is the preamble state PreprocessFrom records, once the
+	// main file's processing reaches the end of its preamble.
+	captured *State
 }
 
 // condState tracks one level of conditional nesting.
@@ -162,6 +165,27 @@ func (pp *Preprocessor) Define(name, value string) {
 
 // Preprocess runs the preprocessor on the given main file.
 func (pp *Preprocessor) Preprocess(mainFile string) (*Result, error) {
+	res, _, err := pp.run(mainFile, nil, nil, false)
+	return res, err
+}
+
+// PreprocessFrom is Preprocess that also returns the state at the end of
+// the main file's preamble (nil when it has none; see State). When start
+// is a state an earlier run of the same main file under the same search
+// paths and macros returned, and prefix is the token stream that run
+// emitted up to it (State.Tokens long), PreprocessFrom resumes there
+// instead of preprocessing the preamble again, provided the main file
+// still begins with the preamble's bytes: it lexes and expands only the
+// rest of the main file, and returns start itself. The caller must
+// have checked that every file start's preamble read, and every path it
+// probed in vain, is unchanged (State.Includes, State.AbsentDeps). The
+// result is the one Preprocess returns on the same files.
+func (pp *Preprocessor) PreprocessFrom(mainFile string, start *State, prefix []token.Token) (*Result, *State, error) {
+	return pp.run(mainFile, start, prefix, true)
+}
+
+// run is the one preprocessor behind Preprocess and PreprocessFrom.
+func (pp *Preprocessor) run(mainFile string, start *State, prefix []token.Token, capture bool) (*Result, *State, error) {
 	sp := pp.Obs.Start("preprocess")
 	sp.SetStr("main", mainFile)
 	defer sp.End()
@@ -183,6 +207,7 @@ func (pp *Preprocessor) Preprocess(mainFile string) (*Result, error) {
 	pp.absentSeen = map[string]bool{}
 	pp.chunks = nil
 	pp.ntoks = 0
+	pp.captured = nil
 	if n := pp.prelexWorkers(); n > 0 {
 		pp.prelex = newPrelexer(pp.FS, pp.SearchPaths, pp.Cache, n)
 		defer func() {
@@ -191,9 +216,26 @@ func (pp *Preprocessor) Preprocess(mainFile string) (*Result, error) {
 		}()
 	}
 
-	if err := pp.processFile(mainFile, true); err != nil {
-		return pp.res, err
+	main := vfs.Clean(mainFile)
+	if pp.depth >= pp.MaxDepth {
+		return pp.res, nil, fmt.Errorf("preprocessor: include depth exceeds %d at %s (include cycle?)", pp.MaxDepth, main)
 	}
+	src, toks, err := pp.readMain(main)
+	if err != nil {
+		return pp.res, nil, err
+	}
+	from := 0
+	var cut *State
+	switch {
+	case start != nil && len(prefix) == start.ntoks && start.resumes(main, src, toks):
+		pp.resume(start, prefix)
+		from = len(start.mainToks)
+		sp.SetInt("resumed", 1)
+	case capture:
+		start = nil
+		cut = cutPreamble(main, src, toks)
+	}
+	pp.processTokens(main, toks[:len(toks)-1], from, cut)
 	// Concatenate the accumulated token runs with one exact-size
 	// allocation. Growing res.Tokens incrementally instead would
 	// reallocate (and zero) multi-megabyte arrays many times per TU,
@@ -207,10 +249,27 @@ func (pp *Preprocessor) Preprocess(mainFile string) (*Result, error) {
 	sp.SetInt("tokens", int64(len(pp.res.Tokens)))
 	sp.SetInt("includes", int64(len(pp.res.Includes)))
 	pp.Obs.Counter("preprocessor.tokens").Add(uint64(len(pp.res.Tokens)))
-	if len(pp.errs) > 0 {
-		return pp.res, pp.errs[0]
+	pre := start
+	if pre == nil {
+		pre = pp.captured
 	}
-	return pp.res, nil
+	pp.captured = nil
+	if len(pp.errs) > 0 {
+		return pp.res, pre, pp.errs[0]
+	}
+	return pp.res, pre, nil
+}
+
+// readMain reads and lexes the main file. Unlike an include it is never
+// skipped: nothing has set a guard or #pragma once yet.
+func (pp *Preprocessor) readMain(main string) (string, []token.Token, error) {
+	pp.cFiles.Add(1)
+	src, err := pp.FS.Read(main)
+	if err != nil {
+		return "", nil, err
+	}
+	toks, err := pp.lexFile(main, src)
+	return src, toks, err
 }
 
 // resolveInclude finds the file for an include target. Probes that miss
@@ -248,7 +307,7 @@ func (pp *Preprocessor) recordAbsent(p string) {
 	}
 }
 
-func (pp *Preprocessor) processFile(file string, isMain bool) error {
+func (pp *Preprocessor) processFile(file string) error {
 	file = vfs.Clean(file)
 	if pp.depth >= pp.MaxDepth {
 		return fmt.Errorf("preprocessor: include depth exceeds %d at %s (include cycle?)", pp.MaxDepth, file)
@@ -264,14 +323,24 @@ func (pp *Preprocessor) processFile(file string, isMain bool) error {
 	if err != nil {
 		return err
 	}
-	toks = toks[:len(toks)-1] // drop EOF; caller appends a single final one
-	if pp.prelex != nil {
-		pp.prelex.scan(file, toks)
-	}
-
-	if !isMain && !pp.seen[file] {
+	if !pp.seen[file] {
 		pp.seen[file] = true
 		pp.res.Includes = append(pp.res.Includes, file)
+	}
+	pp.processTokens(file, toks[:len(toks)-1], 0, nil) // drop EOF; Preprocess appends a single final one
+	return nil
+}
+
+// processTokens walks one file's lexed tokens from index from on. cut,
+// when set, is the main file's preamble, captured when the walk reaches
+// its end.
+func (pp *Preprocessor) processTokens(file string, toks []token.Token, from int, cut *State) {
+	capAt := -1
+	if cut != nil {
+		capAt = len(cut.mainToks)
+	}
+	if pp.prelex != nil {
+		pp.prelex.scan(file, toks[from:])
 	}
 
 	pp.depth++
@@ -296,11 +365,19 @@ func (pp *Preprocessor) processFile(file string, isMain bool) error {
 	// Count distinct source lines that contributed tokens. Token lines
 	// are nondecreasing within a file, so counting line transitions is
 	// equivalent to collecting distinct lines in a set — without the set.
+	// A preamble holds directive lines only, so a resumed main file has
+	// counted none before from.
 	lastLine := int32(-1)
 	activeLineCount := 0
 
-	i := 0
-	for i < len(toks) {
+	i := from
+	for {
+		if i == capAt {
+			pp.capture(cut)
+		}
+		if i >= len(toks) {
+			break
+		}
 		tk := toks[i]
 		if tk.Kind == token.Hash && tk.LeadingNewline {
 			// Gather the directive line.
@@ -339,7 +416,6 @@ func (pp *Preprocessor) processFile(file string, isMain bool) error {
 		pp.errorf(token.Pos{File: token.InternFile(file), Line: 1, Col: 1}, "unterminated conditional directive")
 	}
 	pp.res.LOC += activeLineCount
-	return nil
 }
 
 // handleDirective processes one directive line.
@@ -486,7 +562,7 @@ func (pp *Preprocessor) handleInclude(file string, hash token.Token, rest []toke
 		return
 	}
 	pp.res.DirectDeps[file] = append(pp.res.DirectDeps[file], resolved)
-	if err := pp.processFile(resolved, false); err != nil {
+	if err := pp.processFile(resolved); err != nil {
 		pp.errorf(hash.Pos, "%v", err)
 	}
 }

@@ -50,19 +50,15 @@ type Config struct {
 // entry adopted from a remote tier, or one whose key has a newer
 // variant, holds none, and Unit re-parses it.
 //
+// With a cache, a build resumes from the preamble of the tree its key
+// holds when it can (see preamble.go); the result is the same either
+// way.
+//
 // o receives "preprocess" and "parse" spans when the unit is built, or
 // one "frontend cache hit" span when the cache serves it.
 func Parse(cfg Config, main string, o *obs.Obs) (*buildcache.TU, error) {
-	build := func() (*buildcache.TU, error) {
-		pp := preprocessor.New(cfg.FS, cfg.SearchPaths...)
-		pp.Obs = o
-		if cfg.Cache != nil {
-			pp.Cache = cfg.Cache
-		}
-		for k, v := range cfg.Defines {
-			pp.Define(k, v)
-		}
-		res, err := pp.Preprocess(main)
+	if cfg.Cache == nil {
+		res, err := newPreprocessor(cfg, o).Preprocess(main)
 		if err != nil {
 			return nil, fmt.Errorf("preprocess %s: %v", main, err)
 		}
@@ -74,11 +70,8 @@ func Parse(cfg Config, main string, o *obs.Obs) (*buildcache.TU, error) {
 		}
 		return buildcache.NewTU(res, tu, countUnit(tu, res, main)), nil
 	}
-	if cfg.Cache == nil {
-		return build()
-	}
-	t, hit, err := cfg.Cache.TranslationUnit(configKey(cfg, main), buildcache.Validator(cfg.FS), func() (*buildcache.TU, []buildcache.Dep, error) {
-		t, err := build()
+	t, hit, err := cfg.Cache.TranslationUnit(configKey(cfg, main), o, buildcache.Validator(cfg.FS), func(held *ast.TranslationUnit) (*buildcache.TU, []buildcache.Dep, error) {
+		t, err := buildCached(cfg, main, o, held)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -92,6 +85,19 @@ func Parse(cfg Config, main string, o *obs.Obs) (*buildcache.TU, error) {
 		hsp.End()
 	}
 	return t, err
+}
+
+// newPreprocessor returns a preprocessor for cfg.
+func newPreprocessor(cfg Config, o *obs.Obs) *preprocessor.Preprocessor {
+	pp := preprocessor.New(cfg.FS, cfg.SearchPaths...)
+	pp.Obs = o
+	if cfg.Cache != nil {
+		pp.Cache = cfg.Cache
+	}
+	for k, v := range cfg.Defines {
+		pp.Define(k, v)
+	}
+	return pp
 }
 
 // configKey identifies the configuration a frontend result depends on:
@@ -134,14 +140,35 @@ func StatsOf(t *buildcache.TU, main string, o *obs.Obs) Stats {
 // countUnit derives the unit statistics from the preprocessor result and
 // the parsed tree.
 func countUnit(tu *ast.TranslationUnit, res *preprocessor.Result, main string) Stats {
-	st := Stats{
-		LOC:         res.LOC,
-		Headers:     len(res.Includes),
-		MissingIncl: len(res.MissingIncludes),
-		Tokens:      len(res.Tokens),
+	st := countDecls(tu.Decls, main)
+	st.addResult(res)
+	return st
+}
+
+// addResult sets the statistics read off the preprocessor result.
+func (st *Stats) addResult(res *preprocessor.Result) {
+	st.LOC = res.LOC
+	st.Headers = len(res.Includes)
+	st.MissingIncl = len(res.MissingIncludes)
+	st.Tokens = len(res.Tokens)
+}
+
+// add adds o's counts to st's.
+func (st *Stats) add(o Stats) {
+	dst, src := statsAuxFields(st), statsAuxFields(&o)
+	for i := range dst {
+		*dst[i] += *src[i]
 	}
+}
+
+// countDecls derives the declaration statistics (every field but those
+// addResult sets) of top-level declarations in a unit of main. The
+// counts are sums over declarations, so a unit's are the sum of any
+// split of its declarations.
+func countDecls(decls []ast.Decl, main string) Stats {
+	var st Stats
 	mainID := token.InternFile(vfs.Clean(main))
-	ast.Inspect(tu, func(n ast.Node) {
+	count := func(n ast.Node) {
 		switch x := n.(type) {
 		case *ast.ClassDecl, *ast.AliasDecl, *ast.EnumDecl, *ast.VarDecl, *ast.FieldDecl, *ast.UsingDecl:
 			st.Decls++
@@ -167,7 +194,10 @@ func countUnit(tu *ast.TranslationUnit, res *preprocessor.Result, main string) S
 		if t, ok := typeOfNode(n); ok && t != nil && hasTemplateArgs(t.Name) {
 			st.TemplateUses++
 		}
-	})
+	}
+	for _, d := range decls {
+		ast.Inspect(d, count)
+	}
 	return st
 }
 

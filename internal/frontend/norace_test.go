@@ -1,0 +1,5 @@
+//go:build !race
+
+package frontend_test
+
+const raceEnabled = false
