@@ -12,13 +12,14 @@
 //	            [-attribution FILE] [-pprof ADDR] [-v]
 //
 // With no selection flags, everything runs. Subjects fan out over -j
-// worker goroutines and share a content-addressed build cache; both are
-// wall-clock optimizations only — every table and figure is
-// byte-identical at any -j with the cache on or off.
+// worker goroutines (0 = GOMAXPROCS, the default) and share a
+// content-addressed build cache; both are wall-clock optimizations only
+// — every table and figure is byte-identical at any -j with the cache on
+// or off.
 //
 // Observability: -trace writes a Chrome trace_event JSON of the run
-// (load it in chrome://tracing or Perfetto: per-worker wall-clock lanes
-// plus per subject × mode virtual phase lanes), -metrics writes the
+// (load it in chrome://tracing or Perfetto: one wall-clock lane per
+// subject plus per subject × mode virtual phase lanes), -metrics writes the
 // metrics-registry snapshot ("-" for stdout), -attribution writes the
 // per-phase compile-cost attribution report, and -pprof serves
 // net/http/pprof on the given address for live profiling.
@@ -32,7 +33,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"repro/internal/buildcache"
 	"repro/internal/corpus"
@@ -52,7 +52,7 @@ func main() {
 		gcc         = flag.Bool("gcc", false, "reproduce the summarized GCC results (§5.3)")
 		subject     = flag.String("subject", "", "restrict to one subject")
 		results     = flag.String("results", "", "directory to write CSV/trace results into")
-		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "parallel subject jobs")
+		jobs        = flag.Int("j", 0, "subjects run in parallel (0 = GOMAXPROCS)")
 		useCache    = flag.Bool("cache", true, "memoize lexing/preprocessing/parsing across subjects")
 		traceFile   = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
 		metricsOut  = flag.String("metrics", "", "write the metrics snapshot to this file, or - for stdout")

@@ -13,8 +13,10 @@
 //	yallacheck -list              (list registered passes)
 //
 // Exit status is 0 when no error-severity finding exists, 1 when at
-// least one does, and 2 on usage errors. Output is deterministic:
-// byte-identical across runs and across -j values. With -fix,
+// least one does, and 2 on usage errors. -j sets how many translation
+// units are built and checked at once (0 = GOMAXPROCS, the default).
+// Output is deterministic: byte-identical across runs and across -j
+// values. With -fix,
 // machine-applicable fix-its are applied and the changed files written
 // back to disk before exiting (the exit status still reflects the
 // findings).

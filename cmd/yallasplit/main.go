@@ -13,8 +13,10 @@
 //	yallasplit -header god.hpp -I dir [-json] main.cpp [more sources...]
 //	           (decompose an on-disk tree; rewritten files are written back)
 //
-// Output is deterministic: partitions, digests, and the -corpus report
-// are byte-identical across runs and across -j values. Exit status is 0
+// -j sets how many subjects, and how many translation units per
+// subject, are analyzed at once (0 = GOMAXPROCS, the default). Output is
+// deterministic: partitions, digests, and the -corpus report are
+// byte-identical across runs and across -j values. Exit status is 0
 // on success, 1 when a header is not decomposable or verification
 // rejects the rewrite, and 2 on usage errors.
 package main
@@ -49,7 +51,7 @@ func main() {
 		table    = flag.Bool("table", false, "with -corpus, render the comparison table instead of JSON")
 		jsonOut  = flag.Bool("json", false, "emit the decomposition result as JSON")
 		parts    = flag.Int("parts", 4, "maximum part headers per decomposition (0 = uncapped)")
-		jobs     = flag.Int("j", 4, "parallel analysis width (partitions are identical at any value)")
+		jobs     = flag.Int("j", 0, "subjects and translation units analyzed in parallel (0 = GOMAXPROCS; output is identical at any value)")
 	)
 	flag.Var(&includes, "I", "include search directory (repeatable)")
 	flag.Parse()

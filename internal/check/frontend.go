@@ -14,6 +14,7 @@ import (
 	"repro/internal/cpp/token"
 	"repro/internal/frontend"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/vfs"
 )
 
@@ -34,7 +35,8 @@ type Options struct {
 	Defines map[string]string
 	// Passes restricts which checks run (nil = all registered).
 	Passes []string
-	// Jobs bounds per-TU parallelism (<=0 picks GOMAXPROCS).
+	// Jobs is how many sources run the frontend at once, and how many
+	// TUs are checked at once; <= 0 means runtime.GOMAXPROCS(0).
 	Jobs int
 	// Cache, when set, serves each source's translation unit from the
 	// build cache the compiler and the substitution tool share
@@ -85,37 +87,25 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// buildTUs runs the frontend for every source on the bounded pool,
-// each worker recording into its own trace lane.
+// buildTUs runs the frontend for every source on the bounded pool
+// (par.Each), each source recording into a trace lane of its own. A
+// failure stops further sources from starting and is reported for the
+// first failing source in order.
 func buildTUs(opts Options, o *obs.Obs) ([]*TU, error) {
 	sources := map[string]bool{}
 	for _, s := range opts.Sources {
 		sources[vfs.Clean(s)] = true
 	}
-	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = 4
-	}
 	tus := make([]*TU, len(opts.Sources))
-	errs := make([]error, len(opts.Sources))
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i, src := range opts.Sources {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, src string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			wo := o.Lane("check frontend " + src)
-			defer wo.SealLane()
-			tus[i], errs[i] = frontendTU(opts, wo, src, sources)
-		}(i, src)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("check: %v", err)
-		}
+	err := par.Each(o, opts.Jobs, len(opts.Sources),
+		func(i int) string { return "check frontend " + opts.Sources[i] },
+		func(i int, lo *obs.Obs) error {
+			var err error
+			tus[i], err = frontendTU(opts, lo, opts.Sources[i], sources)
+			return err
+		})
+	if err != nil {
+		return nil, fmt.Errorf("check: %v", err)
 	}
 	return tus, nil
 }

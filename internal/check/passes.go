@@ -2,15 +2,14 @@ package check
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cpp/ast"
 	"repro/internal/cpp/preprocessor"
 	"repro/internal/cpp/sema"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/vfs"
 )
 
@@ -145,8 +144,8 @@ func (r *Result) Errors() []Diagnostic {
 	return out
 }
 
-// CheckTUs runs the selected passes (nil = all) over every TU on a
-// bounded worker pool of the given size (<=0 picks GOMAXPROCS). The
+// CheckTUs runs the selected passes (nil = all) over every TU, jobs
+// TUs at once (<= 0 means runtime.GOMAXPROCS(0); see par.Each). The
 // returned diagnostics are sorted and deduplicated, so the result is
 // byte-identical regardless of pool size or scheduling. Each TU's
 // "check.tu" span is recorded on a trace lane of its own, sealed when
@@ -158,21 +157,13 @@ func CheckTUs(tus []*TU, passIDs []string, jobs int, o *obs.Obs) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
 	perTU := make([][]Diagnostic, len(tus))
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i, tu := range tus {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, tu *TU) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			wo := o.Lane("check " + tu.Source)
-			defer wo.SealLane()
-			sp := wo.Start("check.tu")
+	// No call fails, so neither does Each.
+	_ = par.Each(o, jobs, len(tus),
+		func(i int) string { return "check " + tus[i].Source },
+		func(i int, lo *obs.Obs) error {
+			tu := tus[i]
+			sp := lo.Start("check.tu")
 			sp.SetStr("source", tu.Source)
 			defer sp.End()
 			tu.Flow = BuildFlow(tu)
@@ -181,13 +172,12 @@ func CheckTUs(tus []*TU, passIDs []string, jobs int, o *obs.Obs) (*Result, error
 				t0 := time.Now()
 				before := len(diags)
 				p.Run(tu, func(d Diagnostic) { diags = append(diags, d) })
-				o.ObserveMs("check.pass_ms."+p.ID, time.Since(t0))
-				o.Counter("check.findings." + p.ID).Add(uint64(len(diags) - before))
+				lo.ObserveMs("check.pass_ms."+p.ID, time.Since(t0))
+				lo.Counter("check.findings." + p.ID).Add(uint64(len(diags) - before))
 			}
 			perTU[i] = diags
-		}(i, tu)
-	}
-	wg.Wait()
+			return nil
+		})
 
 	res := &Result{Counts: map[string]int{}}
 	for _, p := range passes {

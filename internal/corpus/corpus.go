@@ -47,6 +47,17 @@ type Subject struct {
 // files into.
 func (s *Subject) OutDir() string { return "yalla_out/" + s.Name }
 
+// HeaderPaths returns the paths Header may resolve to, cleaned, in
+// search-path order: one per search path, where "." means the bare
+// header. Callers probe them in order and take the first that exists.
+func (s *Subject) HeaderPaths() []string {
+	out := make([]string, len(s.SearchPaths))
+	for i, sp := range s.SearchPaths {
+		out[i] = vfs.Clean(sp + "/" + s.Header)
+	}
+	return out
+}
+
 var (
 	buildOnce sync.Once
 	all       []*Subject

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +22,23 @@ func TestAllSubjectsPresent(t *testing.T) {
 	for lib, n := range want {
 		if byLib[lib] != n {
 			t.Errorf("%s subjects = %d, want %d", lib, byLib[lib], n)
+		}
+	}
+}
+
+// TestHeaderPaths pins the one header-resolution order the harness,
+// the oracles and the replay share: one cleaned candidate per search
+// path, "." meaning the bare header; and every subject's header
+// resolves on its own tree.
+func TestHeaderPaths(t *testing.T) {
+	s := &Subject{Header: "lib/h.hpp", SearchPaths: []string{".", "inc", "a/../b/"}}
+	want := []string{"lib/h.hpp", "inc/lib/h.hpp", "b/lib/h.hpp"}
+	if got := s.HeaderPaths(); !slices.Equal(got, want) {
+		t.Errorf("HeaderPaths = %q, want %q", got, want)
+	}
+	for _, s := range All() {
+		if !slices.ContainsFunc(s.HeaderPaths(), s.FS.Exists) {
+			t.Errorf("%s: header %q resolves on none of %q", s.Name, s.Header, s.HeaderPaths())
 		}
 	}
 }

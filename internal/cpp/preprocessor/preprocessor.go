@@ -97,11 +97,6 @@ type Preprocessor struct {
 	// the hot path: the instruments below stay nil and every hook on them
 	// is a no-op.
 	Obs *obs.Obs
-	// PrelexJobs controls background per-file lexing (see prelex.go):
-	// 0 auto-sizes to GOMAXPROCS-1 workers, negative disables, positive
-	// forces that many. Purely a wall-clock optimization — the Result is
-	// byte-identical with any setting.
-	PrelexJobs int
 
 	macros     *macroTable
 	pragmaOnce map[string]bool
@@ -110,7 +105,6 @@ type Preprocessor struct {
 	errs      []error
 
 	res        *Result
-	prelex     *prelexer
 	seen       map[string]bool
 	absentSeen map[string]bool
 	// chunks accumulates expanded token runs during one Preprocess; they
@@ -208,19 +202,14 @@ func (pp *Preprocessor) run(mainFile string, start *State, prefix []token.Token,
 	pp.chunks = nil
 	pp.ntoks = 0
 	pp.captured = nil
-	if n := pp.prelexWorkers(); n > 0 {
-		pp.prelex = newPrelexer(pp.FS, pp.SearchPaths, pp.Cache, n)
-		defer func() {
-			pp.prelex.close()
-			pp.prelex = nil
-		}()
-	}
 
 	main := vfs.Clean(mainFile)
 	if pp.depth >= pp.MaxDepth {
 		return pp.res, nil, fmt.Errorf("preprocessor: include depth exceeds %d at %s (include cycle?)", pp.MaxDepth, main)
 	}
-	src, toks, err := pp.readMain(main)
+	// Unlike an include, the main file is never skipped: nothing has set
+	// a guard or #pragma once yet.
+	src, toks, err := pp.readFile(main)
 	if err != nil {
 		return pp.res, nil, err
 	}
@@ -260,16 +249,34 @@ func (pp *Preprocessor) run(mainFile string, start *State, prefix []token.Token,
 	return pp.res, pre, nil
 }
 
-// readMain reads and lexes the main file. Unlike an include it is never
-// skipped: nothing has set a guard or #pragma once yet.
-func (pp *Preprocessor) readMain(main string) (string, []token.Token, error) {
+// readFile reads and lexes one file, the main file or an include, and
+// counts it.
+func (pp *Preprocessor) readFile(file string) (string, []token.Token, error) {
 	pp.cFiles.Add(1)
-	src, err := pp.FS.Read(main)
+	src, err := pp.FS.Read(file)
 	if err != nil {
 		return "", nil, err
 	}
-	toks, err := pp.lexFile(main, src)
+	toks, err := pp.lexFile(file, src)
 	return src, toks, err
+}
+
+// lexFile lexes src, the content of file, through the token cache when
+// one is set.
+func (pp *Preprocessor) lexFile(file, src string) ([]token.Token, error) {
+	var toks []token.Token
+	var err error
+	if pp.Cache != nil {
+		toks, err = pp.Cache.Tokens(file, src, func() ([]token.Token, error) {
+			return lexer.Tokenize(file, src)
+		})
+	} else {
+		toks, err = lexer.Tokenize(file, src)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", file, err)
+	}
+	return toks, nil
 }
 
 // resolveInclude finds the file for an include target. Probes that miss
@@ -318,8 +325,7 @@ func (pp *Preprocessor) processFile(file string) error {
 	if g, ok := pp.guardedBy[file]; ok && pp.macros.isDefined(g) {
 		return nil
 	}
-	pp.cFiles.Add(1)
-	toks, err := pp.fileTokens(file)
+	_, toks, err := pp.readFile(file)
 	if err != nil {
 		return err
 	}
@@ -339,10 +345,6 @@ func (pp *Preprocessor) processTokens(file string, toks []token.Token, from int,
 	if cut != nil {
 		capAt = len(cut.mainToks)
 	}
-	if pp.prelex != nil {
-		pp.prelex.scan(file, toks[from:])
-	}
-
 	pp.depth++
 	defer func() { pp.depth-- }()
 

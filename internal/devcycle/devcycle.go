@@ -365,13 +365,9 @@ func (st *Setup) RecompileWrappers() (time.Duration, error) {
 
 // resolveHeader finds the substituted header's path on the search paths.
 func resolveHeader(fs *vfs.FS, s *corpus.Subject) (string, error) {
-	for _, sp := range s.SearchPaths {
-		cand := sp + "/" + s.Header
-		if sp == "." {
-			cand = s.Header
-		}
+	for _, cand := range s.HeaderPaths() {
 		if fs.Exists(cand) {
-			return vfs.Clean(cand), nil
+			return cand, nil
 		}
 	}
 	return "", fmt.Errorf("devcycle: cannot resolve header %q", s.Header)

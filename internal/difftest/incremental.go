@@ -9,7 +9,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/daemon"
 	"repro/internal/inval"
-	"repro/internal/vfs"
 )
 
 // ------------------------------------------------------------ incremental
@@ -61,12 +60,7 @@ func incrementalOracle(res *Result, s *corpus.Subject, opt Options) {
 	}
 
 	hdrPath := ""
-	for _, sp := range s.SearchPaths {
-		cand := sp + "/" + s.Header
-		if sp == "." {
-			cand = s.Header
-		}
-		cand = vfs.Clean(cand)
+	for _, cand := range s.HeaderPaths() {
 		if _, err := sess.ReadFile(cand); err == nil {
 			hdrPath = cand
 			break

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/buildcache"
 	"repro/internal/check"
@@ -53,6 +52,7 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/fuzzgen"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/split"
 	"repro/internal/vfs"
 )
@@ -485,36 +485,28 @@ func pathsOracle(res *Result, s *corpus.Subject, base map[string]string) {
 		compare(variant, snapshotGenerated(fs, sub))
 	}
 
-	// Parallel: N workers share one fresh cache, each on its own
-	// overlay (the -j N path; exercises singleflight and hash reuse).
+	// Parallel: N substitutes share one fresh cache at once, each on its
+	// own overlay (the -j N path; exercises singleflight and hash reuse).
 	const jobs = 4
 	pcache := buildcache.New()
-	type out struct {
-		files map[string]string
-		err   error
-	}
-	outs := make([]out, jobs)
-	var wg sync.WaitGroup
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	outs := make([]map[string]string, jobs)
+	err := par.Each(nil, jobs, jobs,
+		func(i int) string { return fmt.Sprintf("parallel[%d]", i) },
+		func(i int, _ *obs.Obs) error {
 			fs := s.FS.Overlay()
 			sub, err := substitute(fs, s, pcache, "")
 			if err != nil {
-				outs[i] = out{err: err}
-				return
+				return fmt.Errorf("parallel[%d]: substitute failed: %v", i, err)
 			}
-			outs[i] = out{files: snapshotGenerated(fs, sub)}
-		}(i)
+			outs[i] = snapshotGenerated(fs, sub)
+			return nil
+		})
+	if err != nil {
+		res.addf("paths", "%v", err)
+		return
 	}
-	wg.Wait()
-	for i, o := range outs {
-		if o.err != nil {
-			res.addf("paths", "parallel[%d]: substitute failed: %v", i, o.err)
-			return
-		}
-		compare(fmt.Sprintf("parallel[%d]", i), o.files)
+	for i, files := range outs {
+		compare(fmt.Sprintf("parallel[%d]", i), files)
 	}
 
 	// Daemon session path.

@@ -9,10 +9,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/buildcache"
@@ -22,6 +20,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/devcycle"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/pch"
 )
 
@@ -143,7 +142,7 @@ func runSubject(s *corpus.Subject, bc *buildcache.Cache, o *obs.Obs) (*SubjectRe
 // emitVirtualLanes renders the subject's per-mode virtual phase costs as
 // explicit-timestamp spans on the trace's virtual-cost process, so the
 // deterministic per-phase timeline the paper plots (Fig. 7) sits next to
-// the real wall-clock worker lanes in one Chrome trace.
+// the real wall-clock subject lanes in one Chrome trace.
 func emitVirtualLanes(o *obs.Obs, r *SubjectResult) {
 	for _, mode := range Modes {
 		lane := o.VirtualLane(r.Name + "/" + mode.String())
@@ -184,7 +183,8 @@ func ResetCache() {}
 
 // RunConfig configures RunAllWith.
 type RunConfig struct {
-	// Jobs is the worker-pool width; <= 0 means runtime.GOMAXPROCS(0).
+	// Jobs is how many subjects run at once; <= 0 means
+	// runtime.GOMAXPROCS(0).
 	Jobs int
 	// Subjects restricts the run; nil means corpus.All().
 	Subjects []*corpus.Subject
@@ -194,88 +194,40 @@ type RunConfig struct {
 	// Progress, when set, is called from worker goroutines as each
 	// subject starts; it must be safe for concurrent use.
 	Progress func(s *corpus.Subject)
-	// Obs, when set, records the run: each worker gets its own trace
-	// lane ("worker N"), each subject a span tree, and the registry the
-	// pipeline's counters and histograms. Nil disables recording.
+	// Obs, when set, records the run: each subject gets a trace lane of
+	// its own ("subject NAME", sealed when the subject is done) holding
+	// its span tree, and the registry the pipeline's counters and
+	// histograms. Nil disables recording.
 	Obs *obs.Obs
 }
 
-// RunAllWith measures the configured subjects on a bounded worker pool.
-// Results come back in presentation (corpus) order regardless of
-// completion order. The first error stops the fan-out and is returned —
-// together with the partial results: every subject that ran to
-// completion keeps its slot, failed and unstarted subjects are nil.
-// Callers that only care about the all-or-nothing contract can keep
-// ignoring the slice when err != nil.
+// RunAllWith measures the configured subjects on a bounded worker pool
+// (par.Each). Results come back in presentation (corpus) order
+// regardless of completion order. A failure stops further subjects from
+// starting, and the error of the first failing subject in presentation
+// order is returned — the same at any Jobs — together with the partial
+// results: every subject that ran to completion keeps its slot, failed
+// and unstarted subjects are nil. Callers that only care about the
+// all-or-nothing contract can keep ignoring the slice when err != nil.
 func RunAllWith(cfg RunConfig) ([]*SubjectResult, error) {
 	subjects := cfg.Subjects
 	if subjects == nil {
 		subjects = corpus.All()
 	}
-	jobs := cfg.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(subjects) {
-		jobs = len(subjects)
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-
 	out := make([]*SubjectResult, len(subjects))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		stop     = make(chan struct{})
-		idx      = make(chan int)
-	)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		wo := cfg.Obs.Lane(fmt.Sprintf("worker %d", w+1))
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				// The feeder's select may hand out one more index after
-				// the stop; skip it so no subject starts past an error.
-				select {
-				case <-stop:
-					continue
-				default:
-				}
-				s := subjects[i]
-				if cfg.Progress != nil {
-					cfg.Progress(s)
-				}
-				r, err := runSubject(s, cfg.Cache, wo)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						close(stop)
-					})
-					continue
-				}
-				out[i] = r
+	err := par.Each(cfg.Obs, cfg.Jobs, len(subjects),
+		func(i int) string { return "subject " + subjects[i].Name },
+		func(i int, o *obs.Obs) error {
+			if cfg.Progress != nil {
+				cfg.Progress(subjects[i])
 			}
-		}()
-	}
-	// Feed indices in presentation order; stop feeding after the first
-	// error (in-flight subjects drain, queued ones are abandoned).
-	go func() {
-		defer close(idx)
-		for i := range subjects {
-			select {
-			case <-stop:
-				return
-			case idx <- i:
-			}
-		}
-	}()
-	wg.Wait()
+			r, err := runSubject(subjects[i], cfg.Cache, o)
+			out[i] = r
+			return err
+		})
 	// On error the partial results still come back so the caller can
 	// report how far the run got (and flush any trace/metrics recorded).
-	return out, firstErr
+	return out, err
 }
 
 // ------------------------------------------------------------- rendering
@@ -492,11 +444,7 @@ func compileTriple(s *corpus.Subject, model compilesim.CostModel, bc *buildcache
 		return 0, 0, 0, err
 	}
 	hdr := ""
-	for _, sp := range s.SearchPaths {
-		cand := sp + "/" + s.Header
-		if sp == "." {
-			cand = s.Header
-		}
+	for _, cand := range s.HeaderPaths() {
 		if fs.Exists(cand) {
 			hdr = cand
 			break

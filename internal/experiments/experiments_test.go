@@ -192,12 +192,71 @@ func TestParallelAndCachedRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunAllWithStopsOnFirstError checks error propagation from the
-// worker pool: a subject that cannot run fails the whole fan-out.
-func TestRunAllWithStopsOnFirstError(t *testing.T) {
-	bad := &corpus.Subject{Name: "broken-subject", Library: "none", FS: vfs.New(), MainFile: "absent.cpp"}
-	_, err := RunAllWith(RunConfig{Jobs: 4, Subjects: []*corpus.Subject{bad}})
-	if err == nil {
-		t.Fatal("expected an error from the unrunnable subject")
+// TestRunErrorsAtAnyJobs pins the pool's failure rule on both matrix
+// runners: the error is the first failing subject's in presentation
+// order, with the same text at -j 1 and -j 4 on every run, no subject
+// starts after a failure at -j 1, and RunAllWith keeps the result of
+// every subject that finished.
+func TestRunErrorsAtAnyJobs(t *testing.T) {
+	good := corpus.ByName("condense")
+	if good == nil {
+		t.Fatal("subject condense missing from corpus")
+	}
+	copyOf := func(s *corpus.Subject) *corpus.Subject { c := *s; return &c }
+	broken := func(name string) *corpus.Subject {
+		return &corpus.Subject{Name: name, Library: "none", FS: vfs.New(), MainFile: "absent.cpp"}
+	}
+	const runs = 20
+	for _, tc := range []struct {
+		name     string
+		subjects []*corpus.Subject
+		first    int // index of the first broken subject
+	}{
+		{"one-broken", []*corpus.Subject{broken("broken-subject")}, 0},
+		{"broken-at-1-and-3", []*corpus.Subject{copyOf(good), broken("broken-1"), copyOf(good), broken("broken-3")}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			firstName := tc.subjects[tc.first].Name
+			bc := buildcache.New()
+			var allErr, splitErr string
+			for run := 0; run < runs; run++ {
+				for _, jobs := range []int{1, 4} {
+					var mu sync.Mutex
+					started := map[*corpus.Subject]bool{}
+					out, err := RunAllWith(RunConfig{
+						Jobs: jobs, Subjects: tc.subjects, Cache: bc,
+						Progress: func(s *corpus.Subject) { mu.Lock(); started[s] = true; mu.Unlock() },
+					})
+					if err == nil || !strings.HasPrefix(err.Error(), firstName+"/") {
+						t.Fatalf("RunAllWith -j %d: err = %v, want %s's", jobs, err, firstName)
+					}
+					if allErr == "" {
+						allErr = err.Error()
+					} else if err.Error() != allErr {
+						t.Fatalf("RunAllWith -j %d, run %d: err %q, want %q", jobs, run, err, allErr)
+					}
+					for i, s := range tc.subjects {
+						switch {
+						case jobs == 1 && i > tc.first && started[s]:
+							t.Errorf("-j 1: subject %d started after subject %d failed", i, tc.first)
+						case s.Library == "none" && out[i] != nil:
+							t.Errorf("-j %d: broken subject %d has a result", jobs, i)
+						case s.Library != "none" && started[s] && (out[i] == nil || out[i].Name != s.Name):
+							t.Errorf("-j %d: subject %d finished but lost its result", jobs, i)
+						}
+					}
+
+					rep, err := RunSplitAll(SplitRunConfig{Jobs: jobs, MaxParts: 4, Subjects: tc.subjects, Cache: bc})
+					if err == nil || rep != nil || !strings.HasPrefix(err.Error(), firstName+": ") {
+						t.Fatalf("RunSplitAll -j %d: report %v, err = %v, want %s's", jobs, rep, err, firstName)
+					}
+					if splitErr == "" {
+						splitErr = err.Error()
+					} else if err.Error() != splitErr {
+						t.Fatalf("RunSplitAll -j %d, run %d: err %q, want %q", jobs, run, err, splitErr)
+					}
+				}
+			}
+		})
 	}
 }

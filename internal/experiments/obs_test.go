@@ -69,7 +69,7 @@ func TestRunAllReturnsPartialResultsOnError(t *testing.T) {
 
 // TestObsRunTraceAndMetrics is the integration test for the tentpole: a
 // traced, metered, cached -j 1 run must export a Chrome trace containing
-// the full span hierarchy (worker lane, subject → mode → prepare/cycle →
+// the full span hierarchy (subject lane, subject → mode → prepare/cycle →
 // compile spans, and per subject × mode virtual phase lanes) plus a
 // metrics snapshot whose buildcache counters equal the cache's own
 // Stats() totals.

@@ -11,12 +11,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/buildcache"
 	"repro/internal/corpus"
 	"repro/internal/devcycle"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/split"
 	"repro/internal/vfs"
 )
@@ -67,8 +67,9 @@ type SplitReport struct {
 
 // SplitRunConfig configures RunSplitAll.
 type SplitRunConfig struct {
-	// Jobs bounds the subject-level worker pool (<= 0 means 1) and the
-	// per-subject TU analysis inside Decompose.
+	// Jobs is how many subjects run at once, and how many translation
+	// units each subject's Decompose analyzes at once; <= 0 means
+	// runtime.GOMAXPROCS(0).
 	Jobs int
 	// MaxParts caps each partition (0 = uncapped); the committed
 	// baseline uses 4, matching the golden partitions.
@@ -164,59 +165,31 @@ func splitMeasure(o *obs.Obs, s *corpus.Subject, tree *vfs.FS, yallaHeader strin
 	return out, nil
 }
 
-// RunSplitAll measures the configured subjects on a bounded worker pool,
-// returning rows in corpus order. The first error aborts the run.
+// RunSplitAll measures the configured subjects on a bounded worker pool
+// (par.Each), returning rows in corpus order. A failure stops further
+// subjects from starting and aborts the run with the error of the first
+// failing subject in corpus order.
 func RunSplitAll(cfg SplitRunConfig) (*SplitReport, error) {
 	subjects := cfg.Subjects
 	if subjects == nil {
 		subjects = corpus.All()
 	}
-	jobs := cfg.Jobs
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(subjects) {
-		jobs = len(subjects)
-	}
-
 	rep := &SplitReport{MaxParts: cfg.MaxParts}
 	for _, m := range SplitModes {
 		rep.Modes = append(rep.Modes, m.String())
 	}
 	rep.Subjects = make([]*SplitSubjectResult, len(subjects))
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		idx      = make(chan int)
-	)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		wo := cfg.Obs.Lane(fmt.Sprintf("split worker %d", w+1))
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r, err := RunSplitSubject(subjects[i], SplitRunConfig{
-					Jobs: cfg.Jobs, MaxParts: cfg.MaxParts, Cache: cfg.Cache, Obs: wo,
-				})
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					continue
-				}
-				rep.Subjects[i] = r
-			}
-		}()
-	}
-	go func() {
-		defer close(idx)
-		for i := range subjects {
-			idx <- i
-		}
-	}()
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := par.Each(cfg.Obs, cfg.Jobs, len(subjects),
+		func(i int) string { return "split subject " + subjects[i].Name },
+		func(i int, o *obs.Obs) error {
+			r, err := RunSplitSubject(subjects[i], SplitRunConfig{
+				Jobs: cfg.Jobs, MaxParts: cfg.MaxParts, Cache: cfg.Cache, Obs: o,
+			})
+			rep.Subjects[i] = r
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }

@@ -11,9 +11,9 @@
 // so hot paths like the preprocessor carry their hooks unconditionally.
 //
 // Spans are recorded lock-free: each lane is owned by one goroutine
-// (worker pools derive one lane per worker via Lane), and completed
-// spans append to the owning lane without synchronization. Export
-// happens after the pool drains.
+// (par.Each derives one lane per call via Lane), and completed spans
+// append to the owning lane without synchronization. Export happens
+// after the pool drains.
 package obs
 
 import (
@@ -48,7 +48,7 @@ func New(t *Tracer, r *Registry) *Obs {
 }
 
 // Lane derives a handle recording into a fresh wall-clock lane (one per
-// worker goroutine). Parentage resets: spans on the new lane are roots.
+// goroutine's unit of work). Parentage resets: spans on the new lane are roots.
 // Safe on a nil receiver; without a tracer it returns the handle itself.
 func (o *Obs) Lane(name string) *Obs {
 	if o == nil || o.tracer == nil {

@@ -10,7 +10,8 @@ import (
 	"time"
 )
 
-// Trace process IDs: wall-clock lanes (one per worker goroutine) live in
+// Trace process IDs: wall-clock lanes (one per unit of work a pool runs,
+// such as a subject or a translation unit, or per request) live in
 // PidWall; virtual-cost lanes (one per subject×mode, phase bars laid out
 // on the simulated timeline) live in PidVirtual. chrome://tracing and
 // Perfetto render them as two separate processes.
@@ -23,7 +24,7 @@ const (
 // Chrome trace_event JSON. Lane creation takes a lock; recording into a
 // lane is lock-free because each lane is owned by exactly one goroutine.
 // Export must only be called after all recording goroutines have
-// finished (e.g. after the worker pool's WaitGroup).
+// finished (e.g. after par.Each returns).
 type Tracer struct {
 	clock Clock
 	epoch time.Time

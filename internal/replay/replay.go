@@ -212,11 +212,7 @@ func editScript(class string, orig string, iter int) string {
 // working tree by probing the subject's search paths, the same
 // resolution order the pipeline uses.
 func resolveHeader(c *daemon.Client, session string, subj *corpus.Subject) (path, content string, err error) {
-	for _, sp := range subj.SearchPaths {
-		cand := sp + "/" + subj.Header
-		if sp == "." {
-			cand = subj.Header
-		}
+	for _, cand := range subj.HeaderPaths() {
 		content, err := c.ReadFile(session, cand)
 		if err == nil {
 			return cand, content, nil

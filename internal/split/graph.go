@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/astmatch"
 	"repro/internal/check"
@@ -15,6 +14,8 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/inval"
 	"repro/internal/iwyu"
+	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // unit is one declaration unit: every extent sharing one inval
@@ -377,34 +378,23 @@ func (g *graph) tokenEdges() {
 }
 
 // analyzeTUs runs views 2 and 3 over every TU root in parallel (bounded
-// by opts.Jobs) and merges the results in deterministic root order.
+// by opts.Jobs; see par.Each) and merges the results in deterministic
+// root order.
 func (g *graph) analyzeTUs(opts Options, owner map[string]int) error {
 	roots := tuRoots(opts.Sources)
 	if len(roots) == 0 {
 		return fmt.Errorf("split: no translation unit roots in %v", opts.Sources)
 	}
-	jobs := opts.Jobs
-	if jobs <= 1 {
-		jobs = 1
-	}
 	g.tus = make([]*tuInfo, len(roots))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, jobs)
-	for i, root := range roots {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, root string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// A trace lane belongs to one goroutine: each TU's frontend
-			// spans go on a lane of their own.
+	// analyzeTU records a failed frontend in its tuInfo; no call fails.
+	_ = par.Each(opts.Obs, opts.Jobs, len(roots),
+		func(i int) string { return "split " + roots[i] },
+		func(i int, lo *obs.Obs) error {
 			wo := opts
-			wo.Obs = opts.Obs.Lane("split " + root)
-			defer wo.Obs.SealLane()
-			g.tus[i] = g.analyzeTU(wo, root, owner)
-		}(i, root)
-	}
-	wg.Wait()
+			wo.Obs = lo
+			g.tus[i] = g.analyzeTU(wo, roots[i], owner)
+			return nil
+		})
 
 	// Merge def-use into the units, sequentially in root order.
 	for _, info := range g.tus {

@@ -58,8 +58,9 @@ type Options struct {
 	// MaxParts caps the part count via agglomerative merging of the
 	// most-connected clusters (0 = uncapped).
 	MaxParts int
-	// Jobs bounds parallel TU analysis (<=1 = sequential). The
-	// partition is byte-identical at any value.
+	// Jobs is how many TUs are analyzed at once; <= 0 means
+	// runtime.GOMAXPROCS(0). The partition is byte-identical at any
+	// value.
 	Jobs int
 	Obs  *obs.Obs
 }
