@@ -9,6 +9,8 @@ import (
 	"repro/internal/buildcache"
 	"repro/internal/corpus"
 	"repro/internal/devcycle"
+	"repro/internal/difftest"
+	"repro/internal/fuzzgen"
 	"repro/internal/vfs"
 )
 
@@ -198,10 +200,11 @@ func TestParallelAndCachedRunsAreByteIdentical(t *testing.T) {
 // starts after a failure at -j 1, and RunAllWith keeps the result of
 // every subject that finished.
 func TestRunErrorsAtAnyJobs(t *testing.T) {
-	good := corpus.ByName("condense")
-	if good == nil {
-		t.Fatal("subject condense missing from corpus")
-	}
+	// A small generated program with a decomposable god header stands
+	// in for every subject that runs: the rule is about the failing
+	// ones, and a corpus subject makes the 20 runs take a minute under
+	// -race.
+	good := difftest.SubjectFor(fuzzgen.Generate(fuzzgen.Config{Seed: 1, GodHeader: 3}))
 	copyOf := func(s *corpus.Subject) *corpus.Subject { c := *s; return &c }
 	broken := func(name string) *corpus.Subject {
 		return &corpus.Subject{Name: name, Library: "none", FS: vfs.New(), MainFile: "absent.cpp"}
